@@ -1,38 +1,43 @@
-// The SoA batch assessment kernel vs the scalar per-cell path.
+// The SoA batch assessment kernel vs the scalar per-cell oracle.
 //
 // Report: cold assessment on one worker under two workload shapes —
 // the stock scenario set (paper pair + what-ifs, three visibilities)
 // and a sweep-shaped block (12 derived what-ifs over one visibility,
-// what SweepEngine submits per batch). The SoA kernel resolves each
-// distinct (visibility, record) profile once and amortizes it across
+// what SweepEngine submits per batch). The scalar arm projects and
+// assesses every (scenario, record) cell through EasyCModel::assess;
+// the SoA arm drives model::BatchAssessor directly, resolving each
+// distinct (visibility, record) profile once and amortizing it across
 // every scenario lane, so the sweep shape is where the win lands; the
-// stock set bounds the worst case (2.5 lanes per profile). The ACI
-// hoist is also run disabled so its contribution is measured, not
-// asserted. Both kernels are byte-identical per cell
-// (batch_kernel_test), so these numbers can only disagree on time.
+// stock set bounds the worst case (2.5 lanes per profile). Both
+// kernels are byte-identical per cell (batch_kernel_test), so these
+// numbers can only disagree on time.
 //
 // The gated pair (check_bench_regression: SoA >= 1.5x scalar
 // cells_per_s) runs the sweep-shaped block — the engine's cold fill
 // workload in the paper pipeline's sweeps.
 #include "bench/common.hpp"
 
+#include <array>
 #include <chrono>
 #include <functional>
 #include <string>
+#include <vector>
 
-#include "analysis/assessment_engine.hpp"
+#include "analysis/scenario.hpp"
+#include "easyc/batch.hpp"
+#include "easyc/model.hpp"
 #include "parallel/thread_pool.hpp"
 #include "top500/generator.hpp"
+#include "top500/record.hpp"
 #include "util/strings.hpp"
 
 namespace {
 
-using easyc::analysis::AssessmentEngine;
 using easyc::analysis::ScenarioSet;
 using easyc::analysis::ScenarioSpec;
 using easyc::util::format_double;
 namespace sc = easyc::analysis::scenarios;
-using BatchKernel = AssessmentEngine::BatchKernel;
+using Grid = std::vector<std::vector<easyc::model::SystemAssessment>>;
 
 const std::vector<easyc::top500::SystemRecord>& catalog() {
   static const auto kRecords = easyc::top500::generate_records();
@@ -76,21 +81,67 @@ double seconds_of(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-// Mean cold time of one engine.assess over `set`, plus kernel stats.
-double cold_seconds(const ScenarioSet& set, BatchKernel kernel, bool hoist,
-                    easyc::par::ThreadPool& pool, int reps,
-                    easyc::model::BatchStats* stats = nullptr) {
-  double total = 0.0;
-  easyc::model::BatchStats acc;
-  for (int i = 0; i < reps; ++i) {
-    AssessmentEngine engine({.pool = &pool,
-                             .cache_enabled = false,
-                             .batch_kernel = kernel,
-                             .batch_hoist_aci = hoist});
-    total += seconds_of([&] { engine.assess(catalog(), set); });
-    acc += engine.batch_stats();
+// Scalar oracle: EasyCModel::assess per (scenario, record) cell, over
+// inputs projected once per distinct visibility.
+Grid scalar_fill(const ScenarioSet& set) {
+  const auto& records = catalog();
+  std::array<std::vector<easyc::model::Inputs>,
+             easyc::top500::kNumDataVisibilities>
+      projections;
+  Grid out(set.size());
+  for (size_t s = 0; s < set.size(); ++s) {
+    const ScenarioSpec& spec = set.specs()[s];
+    auto& inputs = projections[static_cast<size_t>(spec.visibility)];
+    if (inputs.empty()) {
+      for (const auto& record : records) {
+        inputs.push_back(easyc::top500::to_inputs(record, spec.visibility));
+      }
+    }
+    const easyc::model::EasyCModel model(spec.to_options());
+    out[s].reserve(records.size());
+    for (const auto& in : inputs) out[s].push_back(model.assess(in));
   }
-  if (stats) *stats = acc;
+  return out;
+}
+
+// SoA kernel: one profile per distinct (visibility, record), resolved
+// once, then each scenario assessed as one batch of lanes.
+Grid soa_fill(const ScenarioSet& set, easyc::par::ThreadPool& pool,
+              easyc::model::BatchStats* stats = nullptr) {
+  const auto& records = catalog();
+  easyc::model::BatchAssessor batch;
+  constexpr size_t kUnset = static_cast<size_t>(-1);
+  std::array<size_t, easyc::top500::kNumDataVisibilities> first;
+  first.fill(kUnset);
+  for (const auto& spec : set.specs()) {
+    size_t& base = first[static_cast<size_t>(spec.visibility)];
+    if (base != kUnset) continue;
+    base = batch.num_profiles();
+    for (const auto& record : records) {
+      batch.add_profile(easyc::top500::to_inputs(record, spec.visibility));
+    }
+  }
+  batch.resolve_profiles(&pool);
+
+  Grid out(set.size());
+  std::vector<easyc::model::BatchAssessor::Cell> cells(records.size());
+  for (size_t s = 0; s < set.size(); ++s) {
+    const ScenarioSpec& spec = set.specs()[s];
+    const size_t base = first[static_cast<size_t>(spec.visibility)];
+    out[s].resize(records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      cells[i] = {base + i, &out[s][i]};
+    }
+    batch.assess(spec.to_options(), cells.data(), cells.size(), &pool);
+  }
+  if (stats) *stats += batch.stats();
+  return out;
+}
+
+// Mean cold time of `fill` over `reps` runs.
+double mean_seconds(const std::function<void()>& fill, int reps) {
+  double total = 0.0;
+  for (int i = 0; i < reps; ++i) total += seconds_of(fill);
   return total / reps;
 }
 
@@ -99,12 +150,8 @@ std::string workload_table(const std::string& title, const ScenarioSet& set,
   const double cells = static_cast<double>(catalog().size()) *
                        static_cast<double>(set.size());
   easyc::model::BatchStats stats;
-  const double t_scalar =
-      cold_seconds(set, BatchKernel::kScalar, true, pool, reps);
-  const double t_soa =
-      cold_seconds(set, BatchKernel::kSoa, true, pool, reps, &stats);
-  const double t_no_hoist =
-      cold_seconds(set, BatchKernel::kSoa, false, pool, reps);
+  const double t_scalar = mean_seconds([&] { scalar_fill(set); }, reps);
+  const double t_soa = mean_seconds([&] { soa_fill(set, pool, &stats); }, reps);
 
   const auto line = [&](const std::string& label, double t) {
     return "    " + label + format_double(t * 1e3, 2) + " ms  (" +
@@ -115,11 +162,6 @@ std::string workload_table(const std::string& title, const ScenarioSet& set,
                     " cells, mean of " + std::to_string(reps) + "\n";
   out += line("scalar per-cell oracle: ", t_scalar);
   out += line("SoA kernel:             ", t_soa);
-  out += line("SoA, ACI hoist off:     ", t_no_hoist);
-  out += "    ACI hoist delta: " +
-         format_double((t_no_hoist - t_soa) * 1e3, 2) + " ms/run (" +
-         format_double((t_no_hoist / t_soa - 1.0) * 100, 1) +
-         "% on top of the hoisted kernel)\n";
   const int r = reps;
   out += "    per run: " + std::to_string(stats.lanes / r) + " lanes from " +
          std::to_string(stats.profiles / r) + " resolved profiles (" +
@@ -142,21 +184,17 @@ std::string kernel_report() {
   return out;
 }
 
-// Cold fill throughput of one kernel on the sweep-shaped block: fresh
-// no-cache engine, so every cell computes through the selected path.
-// cells_per_s is the gated counter (check_bench_regression enforces
-// BM_BatchAssessSoA >= 1.5x BM_BatchAssessScalar).
-void bench_kernel(benchmark::State& state, BatchKernel kernel, bool hoist) {
-  easyc::par::ThreadPool one(1);
+// Cold fill throughput of one kernel on the sweep-shaped block: every
+// cell computes. cells_per_s is the gated counter
+// (check_bench_regression enforces BM_BatchAssessSoA >= 1.5x
+// BM_BatchAssessScalar).
+void bench_kernel(benchmark::State& state,
+                  const std::function<Grid(const ScenarioSet&)>& fill) {
   const ScenarioSet& set = sweep_block();
   const int64_t cells = static_cast<int64_t>(catalog().size()) *
                         static_cast<int64_t>(set.size());
   for (auto _ : state) {
-    AssessmentEngine engine({.pool = &one,
-                             .cache_enabled = false,
-                             .batch_kernel = kernel,
-                             .batch_hoist_aci = hoist});
-    auto r = engine.assess(catalog(), set);
+    auto r = fill(set);
     benchmark::DoNotOptimize(&r);
   }
   state.SetItemsProcessed(state.iterations() * cells);
@@ -166,20 +204,15 @@ void bench_kernel(benchmark::State& state, BatchKernel kernel, bool hoist) {
 }
 
 void BM_BatchAssessScalar(benchmark::State& state) {
-  bench_kernel(state, BatchKernel::kScalar, true);
+  bench_kernel(state, scalar_fill);
 }
 BENCHMARK(BM_BatchAssessScalar)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_BatchAssessSoA(benchmark::State& state) {
-  bench_kernel(state, BatchKernel::kSoa, true);
+  easyc::par::ThreadPool one(1);
+  bench_kernel(state, [&](const ScenarioSet& set) { return soa_fill(set, one); });
 }
 BENCHMARK(BM_BatchAssessSoA)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// The hoist ablation at bench granularity, for the A/B delta in JSON.
-void BM_BatchAssessSoANoHoist(benchmark::State& state) {
-  bench_kernel(state, BatchKernel::kSoa, false);
-}
-BENCHMARK(BM_BatchAssessSoANoHoist)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -97,8 +97,11 @@ std::string sweep_report() {
 void BM_SweepExpandGrid(benchmark::State& state) {
   const auto spec = SweepSpec::parse(kGridSpec);
   for (auto _ : state) {
-    auto set = easyc::analysis::expand_sweep(spec);
-    benchmark::DoNotOptimize(&set);
+    const easyc::analysis::SweepExpansion expansion(spec);
+    for (size_t i = 0; i < expansion.size(); ++i) {
+      auto cell = expansion.cell(i);
+      benchmark::DoNotOptimize(&cell);
+    }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(spec.total_cells()));

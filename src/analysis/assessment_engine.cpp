@@ -43,6 +43,26 @@ void finalize_scenario(ScenarioResults& r) {
   r.coverage = count_coverage(r.assessments);
 }
 
+// The SoA kernel's win is amortization: one profile resolution per
+// distinct (visibility, record) shared by every scenario lane that
+// reads it. It runs when the set averages at least two lanes per
+// profile; below that (a one-spec request, or the two-spec paper pair
+// with one visibility each) batching is pure overhead and the scalar
+// kernel wins. The two kernels are byte-identical per cell
+// (batch_kernel_test), so the choice only moves time.
+bool use_soa_kernel(const ScenarioSet& scenarios) {
+  bool seen[top500::kNumDataVisibilities] = {};
+  size_t distinct = 0;
+  for (const auto& spec : scenarios.specs()) {
+    const auto vis = static_cast<size_t>(spec.visibility);
+    if (!seen[vis]) {
+      seen[vis] = true;
+      ++distinct;
+    }
+  }
+  return scenarios.size() >= 2 * distinct;
+}
+
 }  // namespace
 
 double ScenarioResults::total(bool operational_side) const {
@@ -125,30 +145,11 @@ void AssessmentEngine::add_batch_stats(const model::BatchStats& stats) {
   batch_stats_ += stats;
 }
 
-bool AssessmentEngine::use_soa_kernel(const ScenarioSet& scenarios) const {
-  switch (options_.batch_kernel) {
-    case BatchKernel::kScalar:
-      return false;
-    case BatchKernel::kSoa:
-      return true;
-    case BatchKernel::kAuto:
-      break;
-  }
-  bool seen[top500::kNumDataVisibilities] = {};
-  size_t distinct = 0;
-  for (const auto& spec : scenarios.specs()) {
-    const auto vis = static_cast<size_t>(spec.visibility);
-    if (!seen[vis]) {
-      seen[vis] = true;
-      ++distinct;
-    }
-  }
-  return scenarios.size() >= 2 * distinct;
-}
-
 // One edition's wavefront: all (scenario, record) cells flattened into
-// parallel grids. A cell first consults the memo table; only a miss
-// pays for the visibility projection and the model. Each cell writes
+// parallel grids. A grid runs three steps: look every cell up in the
+// memo table, fill the misses through one of the two kernels, publish
+// the fills back to the table. With the cache disabled the lookup and
+// publish steps are skipped and every cell is a miss. Each cell writes
 // its own slot, so results are bit-identical for any pool size.
 //
 // Scenarios whose fingerprints coincide (aliases: same assessment
@@ -166,6 +167,7 @@ void AssessmentEngine::assess_edition(
       options_.pool ? *options_.pool : par::ThreadPool::global();
   const size_t num_scenarios = scenarios.size();
   const size_t num_records = records.size();
+  const bool cached = options_.cache_enabled;
 
   out.scenarios.resize(num_scenarios);
   for (size_t s = 0; s < num_scenarios; ++s) {
@@ -178,67 +180,16 @@ void AssessmentEngine::assess_edition(
   }
   if (num_scenarios == 0 || num_records == 0) return;
 
-  if (!options_.cache_enabled) {
-    // No memo table: every cell computes. Scenarios sharing a data
-    // visibility share one immutable input projection, computed once
-    // per distinct visibility (the cached path cannot afford this —
-    // projecting every record upfront would tax warm runs that need
-    // no inputs at all — but here every cell reads its inputs).
-    std::array<std::vector<model::Inputs>, top500::kNumDataVisibilities>
-        projections;
-    for (const auto& spec : scenarios.specs()) {
-      auto& inputs = projections[static_cast<size_t>(spec.visibility)];
-      if (!inputs.empty()) continue;
-      inputs.resize(num_records);
-      par::parallel_for(pool, 0, num_records, [&](size_t i) {
-        inputs[i] = to_inputs(records[i], spec.visibility);
-      });
-    }
-    if (use_soa_kernel(scenarios)) {
-      // SoA kernel: one profile per distinct (visibility, record),
-      // resolved once, then each scenario assessed as a batch of lanes.
-      model::BatchAssessor batch({.hoist_aci = options_.batch_hoist_aci});
-      std::array<std::vector<size_t>, top500::kNumDataVisibilities> pids;
-      for (const auto& spec : scenarios.specs()) {
-        auto& ids = pids[static_cast<size_t>(spec.visibility)];
-        if (!ids.empty()) continue;
-        // The projections are consumed here: the assessor owns the
-        // inputs from registration on (lanes read profile state only).
-        auto& inputs = projections[static_cast<size_t>(spec.visibility)];
-        ids.reserve(num_records);
-        for (size_t i = 0; i < num_records; ++i) {
-          ids.push_back(batch.add_profile(std::move(inputs[i])));
-        }
-      }
-      batch.resolve_profiles(&pool);
-      std::vector<model::BatchAssessor::Cell> cells(num_records);
-      for (size_t s = 0; s < num_scenarios; ++s) {
-        const auto& ids =
-            pids[static_cast<size_t>(scenarios.specs()[s].visibility)];
-        for (size_t i = 0; i < num_records; ++i) {
-          cells[i] = {ids[i], &out.scenarios[s].assessments[i]};
-        }
-        batch.assess(models[s].options(), cells.data(), cells.size(), &pool);
-      }
-      add_batch_stats(batch.stats());
-    } else {
-      par::parallel_for(
-          pool, 0, num_scenarios * num_records, [&](size_t cell) {
-            const size_t s = cell / num_records;
-            const size_t i = cell % num_records;
-            const auto& inputs = projections[static_cast<size_t>(
-                scenarios.specs()[s].visibility)];
-            out.scenarios[s].assessments[i] = models[s].assess(inputs[i]);
-          });
-    }
-    for (auto& r : out.scenarios) finalize_scenario(r);
-    return;
+  std::vector<uint64_t> record_fps;
+  if (cached) {
+    record_fps.resize(num_records);
+    par::parallel_for(pool, 0, num_records, [&](size_t i) {
+      record_fps[i] = records[i].content_fingerprint();
+    });
   }
-
-  std::vector<uint64_t> record_fps(num_records);
-  par::parallel_for(pool, 0, num_records, [&](size_t i) {
-    record_fps[i] = records[i].content_fingerprint();
-  });
+  auto key_of = [&](size_t s, size_t i) {
+    return CellKey{record_fps[i], scenario_fps[s]};
+  };
 
   std::vector<size_t> primaries;
   std::vector<size_t> aliases;
@@ -250,46 +201,49 @@ void AssessmentEngine::assess_edition(
     (is_alias ? aliases : primaries).push_back(s);
   }
 
-  auto run_grid = [&](const std::vector<size_t>& scenario_indices) {
-    par::parallel_for(
-        pool, 0, scenario_indices.size() * num_records, [&](size_t cell) {
-          const size_t s = scenario_indices[cell / num_records];
-          const size_t i = cell % num_records;
-          model::SystemAssessment& slot = out.scenarios[s].assessments[i];
-          const CellKey key{record_fps[i], scenario_fps[s]};
-          if (!cache_.lookup(key, slot)) {
-            slot = models[s].assess(
-                to_inputs(records[i], scenarios.specs()[s].visibility));
-            cache_.insert(key, slot);
-          }
-        });
-  };
-
-  // SoA fill path: a two-pass grid. Pass 1 runs every lookup against
-  // the grid's starting cache state, which makes the miss set — and so
-  // the hit accounting — deterministic for every pool size (the scalar
-  // grid has the same property because its per-cell lookups also all
-  // precede any insert it could hit: keys within a grid are unique).
-  // The misses then batch through the kernel, one profile per distinct
-  // (visibility, record), and publish to the cache afterwards.
-  model::BatchAssessor batch({.hoist_aci = options_.batch_hoist_aci});
+  const bool soa = use_soa_kernel(scenarios);
+  model::BatchAssessor batch;
   std::array<std::vector<int64_t>, top500::kNumDataVisibilities> pid;
-  auto run_grid_soa = [&](const std::vector<size_t>& scenario_indices) {
-    const size_t ngrid = scenario_indices.size() * num_records;
+  auto run_grid = [&](const std::vector<size_t>& grid) {
+    const size_t ngrid = grid.size() * num_records;
+    if (!soa) {
+      // Scalar kernel: lookup, fill and publish fused into one pass per
+      // cell — a single pool dispatch, which is what a one-spec request
+      // (the server's `assess`) needs. Keys within a grid are unique, so
+      // no cell can hit another cell's insert and the miss set is the
+      // grid's starting cache state for every pool size.
+      par::parallel_for(pool, 0, ngrid, [&](size_t cell) {
+        const size_t s = grid[cell / num_records];
+        const size_t i = cell % num_records;
+        model::SystemAssessment& slot = out.scenarios[s].assessments[i];
+        if (cached && cache_.lookup(key_of(s, i), slot)) return;
+        slot = models[s].assess(
+            to_inputs(records[i], scenarios.specs()[s].visibility));
+        if (cached) cache_.insert(key_of(s, i), slot);
+      });
+      return;
+    }
+
+    // SoA kernel, step 1: every lookup runs against the grid's starting
+    // cache state, so the miss set is the same for every pool size.
     std::vector<uint8_t> hit(ngrid);
-    par::parallel_for(pool, 0, ngrid, [&](size_t cell) {
-      const size_t s = scenario_indices[cell / num_records];
-      const size_t i = cell % num_records;
-      model::SystemAssessment& slot = out.scenarios[s].assessments[i];
-      hit[cell] =
-          cache_.lookup({record_fps[i], scenario_fps[s]}, slot) ? 1 : 0;
-    });
-    // Serial scan keeps profile ids deterministic; projection of the
-    // distinct misses is parallel.
+    if (cached) {
+      par::parallel_for(pool, 0, ngrid, [&](size_t cell) {
+        const size_t s = grid[cell / num_records];
+        const size_t i = cell % num_records;
+        hit[cell] =
+            cache_.lookup(key_of(s, i), out.scenarios[s].assessments[i]) ? 1
+                                                                         : 0;
+      });
+    }
+    // Step 2: the misses batch through the assessor, one profile per
+    // distinct (visibility, record), shared by both grids of the
+    // edition. The serial scan keeps profile ids deterministic;
+    // projection of the distinct misses is parallel.
     std::vector<std::pair<size_t, size_t>> need;  // (visibility, record)
     for (size_t cell = 0; cell < ngrid; ++cell) {
       if (hit[cell]) continue;
-      const size_t s = scenario_indices[cell / num_records];
+      const size_t s = grid[cell / num_records];
       const size_t i = cell % num_records;
       const auto vis = static_cast<size_t>(scenarios.specs()[s].visibility);
       if (pid[vis].empty()) pid[vis].assign(num_records, -1);
@@ -310,8 +264,8 @@ void AssessmentEngine::assess_edition(
     }
     std::vector<model::BatchAssessor::Cell> cells;
     std::vector<size_t> cell_records;
-    for (size_t g = 0; g < scenario_indices.size(); ++g) {
-      const size_t s = scenario_indices[g];
+    for (size_t g = 0; g < grid.size(); ++g) {
+      const size_t s = grid[g];
       const auto vis = static_cast<size_t>(scenarios.specs()[s].visibility);
       cells.clear();
       cell_records.clear();
@@ -323,22 +277,18 @@ void AssessmentEngine::assess_edition(
       }
       if (cells.empty()) continue;
       batch.assess(models[s].options(), cells.data(), cells.size(), &pool);
+      // Step 3: publish this scenario's fills.
+      if (!cached) continue;
       par::parallel_for(pool, 0, cells.size(), [&](size_t k) {
         const size_t i = cell_records[k];
-        cache_.insert({record_fps[i], scenario_fps[s]},
-                      out.scenarios[s].assessments[i]);
+        cache_.insert(key_of(s, i), out.scenarios[s].assessments[i]);
       });
     }
   };
 
-  if (use_soa_kernel(scenarios)) {
-    run_grid_soa(primaries);
-    if (!aliases.empty()) run_grid_soa(aliases);
-    add_batch_stats(batch.stats());
-  } else {
-    run_grid(primaries);
-    if (!aliases.empty()) run_grid(aliases);
-  }
+  run_grid(primaries);
+  if (!aliases.empty()) run_grid(aliases);
+  if (soa) add_batch_stats(batch.stats());
 
   for (auto& r : out.scenarios) finalize_scenario(r);
 }

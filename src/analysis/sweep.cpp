@@ -354,13 +354,6 @@ ScenarioSpec SweepExpansion::cell(size_t index) const {
   return s;
 }
 
-ScenarioSet expand_sweep(const SweepSpec& spec) {
-  const SweepExpansion expansion(spec);
-  ScenarioSet set;
-  for (size_t i = 0; i < expansion.size(); ++i) set.add(expansion.cell(i));
-  return set;
-}
-
 namespace {
 
 // Aggregates are exported at full double precision via the pinned

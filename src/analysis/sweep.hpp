@@ -143,6 +143,9 @@ class SweepExpansion {
   const SweepSpec& spec() const { return spec_; }
 
   /// The index-th derived scenario, expansion order. index < size().
+  /// Cell names are deterministic: "sweep/base",
+  /// "sweep/axis/<axis>=<value>", "sweep/grid/<axis>=<v>/...",
+  /// "sweep/mc/<index>".
   ScenarioSpec cell(size_t index) const;
 
   /// Grid cells occupy expansion indices [grid_begin, grid_begin +
@@ -171,15 +174,6 @@ class SweepExpansion {
   size_t grid_ = 0;
   size_t total_ = 0;
 };
-
-/// Materialize every derived scenario of a sweep as a ScenarioSet, in
-/// the expansion order documented on SweepSpec. Cell names are
-/// deterministic: "sweep/base", "sweep/axis/<axis>=<value>",
-/// "sweep/grid/<axis>=<v>/...", "sweep/mc/<index>". Throws util::Error
-/// when a derived spec fails validation (e.g. a pue axis value below
-/// 1). Convenience for tests and small sweeps; the engine streams
-/// through SweepExpansion and never materializes the full set.
-ScenarioSet expand_sweep(const SweepSpec& spec);
 
 /// Which expansion arm produced a cell. Recoverable from the cell's
 /// deterministic name (see cell_kind_from_name), tracked explicitly so

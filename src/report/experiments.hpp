@@ -1,7 +1,7 @@
 // Report builders: one function per paper table/figure. Each renders a
 // human-readable reproduction (ASCII table/chart + paper-vs-measured
-// lines) from a PipelineResult; the bench harness prints them and
-// EXPERIMENTS.md records the outcomes.
+// lines) from a PipelineResult; each bench/bench_* binary prints its
+// figure before timing.
 #pragma once
 
 #include <string>

@@ -1,5 +1,5 @@
 // Published values from the paper, used to print paper-vs-measured
-// comparisons in every benchmark (EXPERIMENTS.md records the outcomes).
+// comparisons in every benchmark (the builders in experiments.hpp).
 // We reproduce *shape* (who wins, rough factors, crossovers), not the
 // authors' exact figures: our substrate is a calibrated synthetic list,
 // not the live November-2024 scrape.

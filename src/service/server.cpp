@@ -72,9 +72,7 @@ struct AssessmentServer::SessionGate {
 AssessmentServer::AssessmentServer(ServerOptions options)
     : options_(options),
       pool_(options.threads),
-      engine_({.pool = &pool_,
-               .cache_capacity = options.cache_capacity,
-               .batch_kernel = options.batch_kernel}),
+      engine_({.pool = &pool_, .cache_capacity = options.cache_capacity}),
       scenarios_(default_scenarios()),
       records_(top500::generate_records()) {
   if (::pipe(wake_pipe_) != 0) {

@@ -1,16 +1,21 @@
-// Scalar-vs-SoA bit-identity of the batch assessment kernel: the
-// catalog under every stock scenario, a ~1k-cell sweep slice, mixed
-// valid/invalid/missing-input lanes, ValidationError parity, and
-// 1-vs-N-thread determinism. The scalar path (EasyCModel::assess) is
-// the oracle; the SoA kernel must reproduce it byte-for-byte — same
-// doubles, same failure reasons in the same order, same coverage —
-// which this test checks through the assessment codec's bytes.
+// Bit-identity of the engine's two cache-miss kernels against the
+// scalar oracle (EasyCModel::assess): the catalog under every stock
+// scenario, a ~1k-cell sweep slice, mixed valid/invalid/missing-input
+// lanes, ValidationError parity, cache-on vs cache-off, and
+// 1-vs-N-thread determinism. The engine picks its kernel from the
+// scenario set's shape, so both sides of that choice are driven here by
+// shape; model::BatchAssessor is also driven directly. Byte-identity
+// is checked through the assessment codec's bytes — same doubles, same
+// failure reasons in the same order, same coverage.
 #include "easyc/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/assessment_engine.hpp"
@@ -28,7 +33,6 @@ namespace {
 
 namespace sc = scenarios;
 using analysis::AssessmentEngine;
-using BatchKernel = AssessmentEngine::BatchKernel;
 
 // Byte-identity is asserted through the codec: if two assessments
 // encode to the same bytes, every double is bit-equal and every
@@ -57,107 +61,209 @@ void expect_bytes_identical(const std::vector<EditionAssessment>& a,
   }
 }
 
+// Every cell of `got` against the oracle's bytes for that cell.
+void expect_matches_oracle(const EditionAssessment& got,
+                           const std::vector<top500::SystemRecord>& records,
+                           const std::string& what) {
+  for (const auto& result : got.scenarios) {
+    const ScenarioSpec& spec = result.spec;
+    const model::EasyCModel oracle(spec.to_options());
+    ASSERT_EQ(result.assessments.size(), records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      ASSERT_EQ(bytes_of(result.assessments[i]),
+                bytes_of(oracle.assess(to_inputs(records[i],
+                                                 spec.visibility))))
+          << what << ": " << spec.name << " record " << i;
+    }
+  }
+}
+
+// The SoA kernel on its own: one profile per distinct (visibility,
+// record), each scenario assessed as one batch of lanes. Returns the
+// same shape the engine does, so expect_matches_oracle applies.
+EditionAssessment assess_with_batch(
+    const std::vector<top500::SystemRecord>& records, const ScenarioSet& set,
+    par::ThreadPool& pool) {
+  model::BatchAssessor batch;
+  constexpr size_t kUnset = static_cast<size_t>(-1);
+  std::array<size_t, top500::kNumDataVisibilities> first;
+  first.fill(kUnset);
+  for (const auto& spec : set.specs()) {
+    size_t& base = first[static_cast<size_t>(spec.visibility)];
+    if (base != kUnset) continue;
+    base = batch.num_profiles();
+    for (const auto& r : records) {
+      batch.add_profile(to_inputs(r, spec.visibility));
+    }
+  }
+  batch.resolve_profiles(&pool);
+
+  EditionAssessment out;
+  std::vector<model::BatchAssessor::Cell> cells(records.size());
+  for (const auto& spec : set.specs()) {
+    ScenarioResults& result = out.scenarios.emplace_back();
+    result.spec = spec;
+    result.assessments.resize(records.size());
+    const size_t base = first[static_cast<size_t>(spec.visibility)];
+    for (size_t i = 0; i < records.size(); ++i) {
+      cells[i] = {base + i, &result.assessments[i]};
+    }
+    batch.assess(spec.to_options(), cells.data(), cells.size(), &pool);
+  }
+  return out;
+}
+
 // Every stock scenario: the paper pair, the what-if trio, and the
 // ground-truth bound — three visibilities, overrides, both policies.
+// Six specs over three visibilities: the engine's SoA shape.
 ScenarioSet all_stock_scenarios() {
   ScenarioSet set = ScenarioSet::paper_with_whatifs();
   set.add(sc::full_knowledge());
   return set;
 }
 
-// --- exhaustive catalog x stock scenarios ---------------------------
+// One spec: a single lane per profile, the engine's scalar shape (what
+// the server's `assess` request submits).
+ScenarioSet one_spec() {
+  ScenarioSet set;
+  set.add(sc::enhanced());
+  return set;
+}
 
-TEST(BatchKernel, CatalogAllStockScenariosByteIdentical) {
+// A sweep block: derived what-ifs over one visibility, the shape
+// SweepEngine submits per batch.
+ScenarioSet sweep_block() {
+  ScenarioSet set;
+  int n = 0;
+  for (double fab : {0.3, 0.65}) {
+    for (double pue : {1.15, 1.45}) {
+      ScenarioSpec spec = sc::enhanced();
+      spec.name = "sweep/" + std::to_string(n++);
+      spec.fab_aci_kg_kwh = fab;
+      spec.pue_override = pue;
+      set.add(spec);
+    }
+  }
+  return set;
+}
+
+// A 4-axis slice: 5 x 5 x 5 x 8 = 1000 grid cells plus the base and
+// per-axis endpoint cells. Lifetime cells alias on the assessment
+// fingerprint, so the distinct-work set stays test-sized while the
+// cell set crosses 1k (and the engine's alias grid runs).
+SweepSpec sweep_slice() {
+  return SweepSpec::parse(
+      "aci=25:600:5;pue=1.1:1.9:5;util=0.5:0.95:5;life=4:8:8");
+}
+
+ScenarioSet register_cells(const SweepSpec& spec) {
+  const SweepExpansion expansion(spec);
+  ScenarioSet set;
+  for (size_t i = 0; i < expansion.size(); ++i) set.add(expansion.cell(i));
+  return set;
+}
+
+// --- kernels vs the oracle ------------------------------------------
+
+TEST(FillKernels, CatalogAllStockScenariosMatchOracle) {
   const auto records = top500::generate_records();
   const auto set = all_stock_scenarios();
   par::ThreadPool one(1);
 
-  // No-cache engines exercise the kernels directly (every cell is a
-  // fill); the direct model is the per-cell oracle underneath both.
-  AssessmentEngine soa({.pool = &one,
-                        .cache_enabled = false,
-                        .batch_kernel = BatchKernel::kSoa});
-  AssessmentEngine scalar({.pool = &one,
-                           .cache_enabled = false,
-                           .batch_kernel = BatchKernel::kScalar});
-  const auto rs = soa.assess(records, set);
-  const auto rr = scalar.assess(records, set);
+  expect_matches_oracle(assess_with_batch(records, set, one), records,
+                        "BatchAssessor");
 
-  ASSERT_EQ(rs.scenarios.size(), rr.scenarios.size());
-  for (size_t s = 0; s < rs.scenarios.size(); ++s) {
-    const ScenarioSpec& spec = rs.scenarios[s].spec;
-    model::EasyCModel oracle(spec.to_options());
-    ASSERT_EQ(rs.scenarios[s].assessments.size(), records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      const std::string want =
-          bytes_of(oracle.assess(to_inputs(records[i], spec.visibility)));
-      ASSERT_EQ(bytes_of(rs.scenarios[s].assessments[i]), want)
-          << spec.name << " record " << i << " (soa vs oracle)";
-      ASSERT_EQ(bytes_of(rr.scenarios[s].assessments[i]), want)
-          << spec.name << " record " << i << " (scalar vs oracle)";
-    }
+  AssessmentEngine cached({.pool = &one});
+  AssessmentEngine uncached({.pool = &one, .cache_enabled = false});
+  expect_matches_oracle(cached.assess(records, set), records, "cache on");
+  expect_matches_oracle(uncached.assess(records, set), records, "cache off");
+
+  // Six specs over three visibilities batch through the SoA kernel:
+  // each distinct (visibility, record) profile is resolved and
+  // validated exactly once, cache on or off. With the cache on, the
+  // extended-lifetime alias of `enhanced` is served from the table.
+  for (const AssessmentEngine* engine : {&cached, &uncached}) {
+    const auto stats = engine->batch_stats();
+    EXPECT_EQ(stats.profiles, 3 * records.size());
+    EXPECT_EQ(stats.validations, stats.profiles);
   }
-
-  // The SoA engine resolved each distinct (visibility, record) profile
-  // and validated it exactly once; the scalar engine batched nothing.
-  const auto& stats = soa.batch_stats();
-  EXPECT_GT(stats.lanes, 0u);
-  EXPECT_GT(stats.profiles, 0u);
-  EXPECT_EQ(stats.validations, stats.profiles);
-  EXPECT_EQ(scalar.batch_stats().lanes, 0u);
+  EXPECT_EQ(uncached.batch_stats().lanes, set.size() * records.size());
+  EXPECT_EQ(cached.batch_stats().lanes, (set.size() - 1) * records.size());
 }
 
-TEST(BatchKernel, CachedEngineMatchesScalarColdAndWarm) {
-  top500::HistoryConfig cfg;
-  cfg.editions = 3;
-  const auto history = top500::generate_history(cfg);
-  par::ThreadPool one(1);
-
-  AssessmentEngine soa({.pool = &one, .batch_kernel = BatchKernel::kSoa});
-  AssessmentEngine scalar(
-      {.pool = &one, .batch_kernel = BatchKernel::kScalar});
-  const auto set = all_stock_scenarios();
-
-  const auto cold_soa = soa.run(history, set);
-  const auto cold_scalar = scalar.run(history, set);
-  expect_bytes_identical(cold_soa, cold_scalar);
-  // The miss-fill batching must not change what lands in the memo:
-  // hit/miss accounting stays identical to the scalar wavefront.
-  EXPECT_EQ(soa.cache_stats().misses, scalar.cache_stats().misses);
-  EXPECT_EQ(soa.cache_stats().hits, scalar.cache_stats().hits);
-  EXPECT_EQ(soa.cache_stats().entries, scalar.cache_stats().entries);
-
-  const auto warm_soa = soa.run(history, set);
-  expect_bytes_identical(cold_soa, warm_soa);
-}
-
-// --- sweep slice ----------------------------------------------------
-
-TEST(BatchKernel, SweepSliceByteIdentical) {
-  // A 4-axis slice: 5 x 5 x 5 x 8 = 1000 grid cells plus the base and
-  // per-axis endpoint cells. Lifetime cells alias on the assessment
-  // fingerprint, so the distinct-work set stays test-sized while the
-  // cell set crosses 1k.
-  const SweepSpec spec = SweepSpec::parse(
-      "aci=25:600:5;pue=1.1:1.9:5;util=0.5:0.95:5;life=4:8:8");
+TEST(FillKernels, SweepSliceMatchesOracle) {
   auto records = top500::generate_records();
   records.resize(30);
-
+  const ScenarioSet set = register_cells(sweep_slice());
+  ASSERT_GE(set.size(), 1000u);
   par::ThreadPool one(1);
-  AssessmentEngine soa({.pool = &one, .batch_kernel = BatchKernel::kSoa});
-  AssessmentEngine scalar(
-      {.pool = &one, .batch_kernel = BatchKernel::kScalar});
 
-  std::ostringstream soa_csv, scalar_csv;
-  CsvCellSink soa_sink(soa_csv), scalar_sink(scalar_csv);
-  SweepEngine se({.engine = &soa});
-  SweepEngine sse({.engine = &scalar});
-  const auto rs = se.run(records, spec, &soa_sink);
-  const auto rr = sse.run(records, spec, &scalar_sink);
+  expect_matches_oracle(assess_with_batch(records, set, one), records,
+                        "BatchAssessor");
+  AssessmentEngine engine({.pool = &one});
+  expect_matches_oracle(engine.assess(records, set), records, "engine");
+  EXPECT_GT(engine.batch_stats().lanes, 0u);
+}
 
-  ASSERT_GE(rs.cells.size(), 1000u);
-  EXPECT_EQ(render_sweep_report(rs), render_sweep_report(rr));
-  EXPECT_EQ(soa_csv.str(), scalar_csv.str());
+// --- the automatic kernel choice ------------------------------------
+
+TEST(FillKernels, KernelChoiceFollowsScenarioShape) {
+  const auto records = top500::generate_records();
+  par::ThreadPool one(1);
+
+  // Below two lanes per profile the scalar kernel runs: nothing batches.
+  for (const ScenarioSet& set : {one_spec(), ScenarioSet::paper()}) {
+    AssessmentEngine engine({.pool = &one});
+    engine.assess(records, set);
+    EXPECT_EQ(engine.batch_stats().lanes, 0u) << set.size() << " specs";
+  }
+
+  // A sweep block amortizes each profile across its lanes.
+  const ScenarioSet block = sweep_block();
+  AssessmentEngine engine({.pool = &one});
+  engine.assess(records, block);
+  const auto stats = engine.batch_stats();
+  EXPECT_EQ(stats.lanes, block.size() * records.size());
+  EXPECT_EQ(stats.profiles, records.size());
+}
+
+TEST(FillKernels, CacheOnMatchesCacheOffForBothShapes) {
+  const auto records = top500::generate_records();
+  par::ThreadPool one(1);
+
+  for (const ScenarioSet& set : {one_spec(), sweep_block()}) {
+    AssessmentEngine cached({.pool = &one});
+    AssessmentEngine uncached({.pool = &one, .cache_enabled = false});
+    const auto off = uncached.assess(records, set);
+    const auto cold = cached.assess(records, set);
+    const auto warm = cached.assess(records, set);
+    expect_bytes_identical({off}, {cold});
+    expect_bytes_identical({off}, {warm});
+    expect_matches_oracle(off, records, "cache off");
+
+    // Warm is pure lookups; the uncached engine never touched a table.
+    EXPECT_EQ(cached.cache_stats().misses, set.size() * records.size());
+    EXPECT_EQ(cached.cache_stats().hits, set.size() * records.size());
+    EXPECT_EQ(uncached.cache_stats().entries, 0u);
+    EXPECT_EQ(uncached.cache_stats().hits + uncached.cache_stats().misses,
+              0u);
+  }
+
+  // A sweep over the cached and the uncached engine: same report, same
+  // per-cell export, byte for byte.
+  auto slice_records = records;
+  slice_records.resize(30);
+  AssessmentEngine cached({.pool = &one});
+  AssessmentEngine uncached({.pool = &one, .cache_enabled = false});
+  std::ostringstream cached_csv, uncached_csv;
+  CsvCellSink cached_sink(cached_csv), uncached_sink(uncached_csv);
+  SweepEngine se({.engine = &cached});
+  SweepEngine ue({.engine = &uncached});
+  const auto rc = se.run(slice_records, sweep_slice(), &cached_sink);
+  const auto ru = ue.run(slice_records, sweep_slice(), &uncached_sink);
+  ASSERT_GE(rc.cells.size(), 1000u);
+  EXPECT_EQ(render_sweep_report(rc), render_sweep_report(ru));
+  EXPECT_EQ(cached_csv.str(), uncached_csv.str());
 }
 
 // --- mixed valid / failing / missing-input lanes --------------------
@@ -276,7 +382,7 @@ std::vector<model::EasyCOptions> option_sets() {
   return sets;
 }
 
-TEST(BatchKernel, MixedLanesMatchScalarUnderEveryOptionSet) {
+TEST(FillKernels, MixedLanesMatchScalarUnderEveryOptionSet) {
   const auto lanes = mixed_lanes();
   par::ThreadPool one(1);
 
@@ -298,7 +404,7 @@ TEST(BatchKernel, MixedLanesMatchScalarUnderEveryOptionSet) {
   }
 }
 
-TEST(BatchKernel, InvalidInputsThrowValidationErrorLikeScalar) {
+TEST(FillKernels, InvalidInputsThrowValidationErrorLikeScalar) {
   model::Inputs bad = mixed_lanes()[0];
   bad.name = "bad";
   bad.rmax_tflops = -1.0;  // performance must be non-negative
@@ -311,37 +417,68 @@ TEST(BatchKernel, InvalidInputsThrowValidationErrorLikeScalar) {
   EXPECT_THROW(batch.resolve_profiles(), util::ValidationError);
 }
 
-// --- thread-count determinism ---------------------------------------
+// --- thread-count determinism and cache accounting -----------------
 
-TEST(BatchKernel, OneVsManyThreadsBitIdentical) {
+// Cold and warm runs over a 3-edition history on 1 and 8 threads, for
+// both kernel shapes: identical bytes, identical hit/miss/entry counts,
+// and exactly one miss per distinct (record content, scenario) key.
+TEST(FillKernels, ColdAndWarmAccountingIdenticalAcrossThreads) {
   top500::HistoryConfig cfg;
   cfg.editions = 3;
   const auto history = top500::generate_history(cfg);
   par::ThreadPool one(1);
   par::ThreadPool wide(8);
 
-  AssessmentEngine a({.pool = &one, .batch_kernel = BatchKernel::kSoa});
-  AssessmentEngine b({.pool = &wide, .batch_kernel = BatchKernel::kSoa});
-  const auto set = all_stock_scenarios();
-  expect_bytes_identical(a.run(history, set), b.run(history, set));
-  EXPECT_EQ(a.cache_stats().misses, b.cache_stats().misses);
-  EXPECT_EQ(a.batch_stats().lanes, b.batch_stats().lanes);
-  EXPECT_EQ(a.batch_stats().profiles, b.batch_stats().profiles);
+  for (const ScenarioSet& set : {ScenarioSet::paper(), all_stock_scenarios()}) {
+    std::set<std::pair<uint64_t, uint64_t>> keys;
+    size_t cells = 0;
+    for (const auto& edition : history) {
+      for (const auto& spec : set.specs()) {
+        for (const auto& r : edition.records) {
+          keys.emplace(r.content_fingerprint(), spec.fingerprint());
+          ++cells;
+        }
+      }
+    }
+
+    AssessmentEngine a({.pool = &one});
+    AssessmentEngine b({.pool = &wide});
+    const auto cold = a.run(history, set);
+    expect_bytes_identical(cold, b.run(history, set));
+    EXPECT_EQ(a.cache_stats().misses, keys.size()) << set.size() << " specs";
+    EXPECT_EQ(a.cache_stats().hits, cells - keys.size());
+    EXPECT_EQ(a.cache_stats().entries, keys.size());
+    EXPECT_EQ(a.cache_stats().misses, b.cache_stats().misses);
+    EXPECT_EQ(a.cache_stats().hits, b.cache_stats().hits);
+    EXPECT_EQ(a.cache_stats().entries, b.cache_stats().entries);
+    EXPECT_EQ(a.batch_stats().lanes, b.batch_stats().lanes);
+    EXPECT_EQ(a.batch_stats().profiles, b.batch_stats().profiles);
+
+    expect_bytes_identical(cold, a.run(history, set));
+    expect_bytes_identical(cold, b.run(history, set));
+    EXPECT_EQ(a.cache_stats().misses, keys.size());
+    EXPECT_EQ(a.cache_stats().hits, 2 * cells - keys.size());
+    EXPECT_EQ(a.cache_stats().hits, b.cache_stats().hits);
+  }
 }
 
 // --- stats accounting -----------------------------------------------
 
-TEST(BatchKernel, AciHoistStatsAccounting) {
+TEST(FillKernels, AciHoistStatsAccounting) {
   const auto records = top500::generate_records();
-  ScenarioSet set;
-  set.add(sc::enhanced());
   par::ThreadPool one(1);
 
-  AssessmentEngine hoisted({.pool = &one,
-                            .cache_enabled = false,
-                            .batch_kernel = BatchKernel::kSoa});
-  hoisted.assess(records, set);
-  const auto& hs = hoisted.batch_stats();
+  model::BatchAssessor batch;
+  for (const auto& r : records) {
+    batch.add_profile(to_inputs(r, sc::enhanced().visibility));
+  }
+  batch.resolve_profiles(&one);
+  std::vector<model::SystemAssessment> got(records.size());
+  std::vector<model::BatchAssessor::Cell> cells(records.size());
+  for (size_t i = 0; i < records.size(); ++i) cells[i] = {i, &got[i]};
+  batch.assess(sc::enhanced().to_options(), cells.data(), cells.size(), &one);
+
+  const auto& hs = batch.stats();
   EXPECT_EQ(hs.lanes, records.size());
   EXPECT_EQ(hs.profiles, records.size());
   EXPECT_EQ(hs.validations, records.size());
@@ -352,24 +489,10 @@ TEST(BatchKernel, AciHoistStatsAccounting) {
   EXPECT_LT(hs.aci_keys, hs.lanes);
   EXPECT_EQ(hs.aci_db_queries, 2 * hs.aci_keys);
 
-  AssessmentEngine direct({.pool = &one,
-                           .cache_enabled = false,
-                           .batch_kernel = BatchKernel::kSoa,
-                           .batch_hoist_aci = false});
-  direct.assess(records, set);
-  const auto& ds = direct.batch_stats();
-  EXPECT_EQ(ds.aci_hoisted, 0u);
-  EXPECT_EQ(ds.aci_db_queries, 2 * ds.lanes);
-
-  // And the A/B knob moves only time, never bytes.
-  model::EasyCModel oracle(sc::enhanced().to_options());
-  const auto ra = hoisted.assess(records, set);
-  const auto rb = direct.assess(records, set);
+  const model::EasyCModel oracle(sc::enhanced().to_options());
   for (size_t i = 0; i < records.size(); ++i) {
-    const std::string want = bytes_of(
-        oracle.assess(to_inputs(records[i], sc::enhanced().visibility)));
-    EXPECT_EQ(bytes_of(ra.scenarios[0].assessments[i]), want);
-    EXPECT_EQ(bytes_of(rb.scenarios[0].assessments[i]), want);
+    EXPECT_EQ(bytes_of(got[i]), bytes_of(oracle.assess(to_inputs(
+                                    records[i], sc::enhanced().visibility))));
   }
 }
 

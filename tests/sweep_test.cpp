@@ -20,6 +20,15 @@ namespace {
 
 namespace sc = scenarios;
 
+// Register every cell of the expansion, in order, into one set (which
+// also checks that cell names are unique and each spec validates).
+ScenarioSet register_cells(const SweepSpec& spec) {
+  const SweepExpansion expansion(spec);
+  ScenarioSet set;
+  for (size_t i = 0; i < expansion.size(); ++i) set.add(expansion.cell(i));
+  return set;
+}
+
 // A 60-record slice of the generated list: plenty of coverage variety,
 // fast enough to sweep many times in one test binary.
 const std::vector<top500::SystemRecord>& records60() {
@@ -111,7 +120,10 @@ TEST(SweepSpec, ParseRejectsPhysicallyMeaninglessValues) {
   SweepSpec bad;
   bad.base = sc::enhanced();
   bad.axes.push_back({SweepAxis::kPue, {0.5, 1.2}});
-  EXPECT_THROW(expand_sweep(bad), util::Error);
+  EXPECT_THROW(register_cells(bad), util::Error);
+  ScenarioSet set;
+  EXPECT_THROW(set.add(apply_axis(sc::enhanced(), SweepAxis::kPue, 0.5)),
+               util::Error);
 }
 
 // --- expansion ------------------------------------------------------
@@ -143,7 +155,7 @@ TEST(SweepSpec, ApplyAxisMatchesHandBuiltSpecs) {
 
 TEST(SweepExpansion, NamesAreOrderedUniqueAndCorrect) {
   const auto spec = SweepSpec::parse("aci=25,100;life=4,8;mc=3@9");
-  const ScenarioSet set = expand_sweep(spec);
+  const ScenarioSet set = register_cells(spec);
   ASSERT_EQ(set.size(), spec.total_cells());
 
   EXPECT_EQ(set.specs().front().name, "sweep/base");
@@ -169,9 +181,9 @@ TEST(SweepExpansion, NamesAreOrderedUniqueAndCorrect) {
 }
 
 TEST(SweepExpansion, MonteCarloDrawsAreSeededAndSpecExpressible) {
-  const auto a = expand_sweep(SweepSpec::parse("mc=6@42"));
-  const auto b = expand_sweep(SweepSpec::parse("mc=6@42"));
-  const auto c = expand_sweep(SweepSpec::parse("mc=6@43"));
+  const auto a = register_cells(SweepSpec::parse("mc=6@42"));
+  const auto b = register_cells(SweepSpec::parse("mc=6@42"));
+  const auto c = register_cells(SweepSpec::parse("mc=6@43"));
   ASSERT_EQ(a.size(), 7u);  // base + draws
   bool any_differs = false;
   for (size_t i = 0; i < a.size(); ++i) {

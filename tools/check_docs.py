@@ -3,7 +3,6 @@
 
 Checks that
   * every flag `easyc_cli --help` and `easyc_serve --help` advertise,
-  * every flag `tools/easyc_sweep_shard.py --help` advertises,
   * the `easyc_cells_decode` usage surface (tool name + any flags), and
   * every protocol verb declared in src/service/protocol.hpp
 appears somewhere in README.md or docs/ARCHITECTURE.md. A flag you can
@@ -43,19 +42,6 @@ def help_flags(binary: str) -> set:
     return flags
 
 
-def script_flags(script: str) -> set:
-    """Flags an argparse-based Python tool advertises. argparse wraps
-    long usage lines, so flags are read from the options section (one
-    `  --flag ...` line each), same shape FLAG_RE already parses."""
-    out = subprocess.run([sys.executable, script, "--help"],
-                         capture_output=True, text=True, check=True).stdout
-    flags = set(FLAG_RE.findall(out))
-    if not flags:
-        raise SystemExit(f"error: no flags parsed from `{script} --help` — "
-                         "did the argparse usage format change?")
-    return flags
-
-
 def decode_surface(binary: str) -> set:
     """The easyc_cells_decode surface: the tool is positional-only
     (usage on stderr, no long options today), so the documented surface
@@ -87,9 +73,6 @@ def main() -> int:
                         help="path to the easyc_cli binary")
     parser.add_argument("--serve", default=str(REPO / "build" / "easyc_serve"),
                         help="path to the easyc_serve binary")
-    parser.add_argument("--shard",
-                        default=str(REPO / "tools" / "easyc_sweep_shard.py"),
-                        help="path to the easyc_sweep_shard.py orchestrator")
     parser.add_argument("--decode",
                         default=str(REPO / "build" / "easyc_cells_decode"),
                         help="path to the easyc_cells_decode binary")
@@ -110,8 +93,6 @@ def main() -> int:
         surfaces[flag] = "easyc_cli --help"
     for flag in help_flags(args.serve):
         surfaces.setdefault(flag, "easyc_serve --help")
-    for flag in script_flags(args.shard):
-        surfaces.setdefault(flag, "easyc_sweep_shard.py --help")
     for name in decode_surface(args.decode):
         surfaces.setdefault(name, "easyc_cells_decode usage")
     for verb in protocol_verbs():
