@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <istream>
-#include <map>
 #include <ostream>
 #include <set>
 #include <utility>
@@ -416,10 +415,15 @@ SweepCell make_sweep_cell(const ScenarioResults& r) {
   return cell;
 }
 
+bool uses_streaming_stats(SweepStatsMode mode, size_t total_cells) {
+  return mode == SweepStatsMode::kStreaming ||
+         (mode == SweepStatsMode::kAuto &&
+          total_cells >= kStreamingStatsThreshold);
+}
+
 SweepReduction::SweepReduction(bool streaming) : streaming_(streaming) {}
 
 void SweepReduction::add(const SweepCell& cell) {
-  ++count_;
   if (streaming_) {
     s_annualized_.add(cell.annualized_mt);
     s_op_.add(cell.op_total_mt);
@@ -429,64 +433,6 @@ void SweepReduction::add(const SweepCell& cell) {
     v_op_.push_back(cell.op_total_mt);
     v_emb_.push_back(cell.emb_total_mt);
   }
-}
-
-void SweepReduction::merge(const SweepReduction& other) {
-  if (streaming_ != other.streaming_) {
-    throw util::Error(
-        "SweepReduction::merge: cannot combine exact and streaming "
-        "reductions");
-  }
-  count_ += other.count_;
-  if (streaming_) {
-    s_annualized_.merge(other.s_annualized_);
-    s_op_.merge(other.s_op_);
-    s_emb_.merge(other.s_emb_);
-  } else {
-    // Concatenation in shard order reproduces the single-process feed
-    // order exactly, so the eventual summarize() is byte-identical.
-    v_annualized_.insert(v_annualized_.end(), other.v_annualized_.begin(),
-                         other.v_annualized_.end());
-    v_op_.insert(v_op_.end(), other.v_op_.begin(), other.v_op_.end());
-    v_emb_.insert(v_emb_.end(), other.v_emb_.begin(), other.v_emb_.end());
-  }
-}
-
-void SweepReduction::encode(util::BinaryWriter& w) const {
-  w.boolean(streaming_);
-  w.u64(count_);
-  if (streaming_) {
-    s_annualized_.encode(w);
-    s_op_.encode(w);
-    s_emb_.encode(w);
-  } else {
-    for (const auto* v : {&v_annualized_, &v_op_, &v_emb_}) {
-      w.u64(v->size());
-      for (const double x : *v) w.f64(x);
-    }
-  }
-}
-
-SweepReduction SweepReduction::decode(util::BinaryReader& r) {
-  SweepReduction out(r.boolean());
-  out.count_ = static_cast<size_t>(r.u64());
-  if (out.streaming_) {
-    out.s_annualized_ = util::StreamingSummary::decode(r);
-    out.s_op_ = util::StreamingSummary::decode(r);
-    out.s_emb_ = util::StreamingSummary::decode(r);
-  } else {
-    for (auto* v : {&out.v_annualized_, &out.v_op_, &out.v_emb_}) {
-      const uint64_t n = r.u64();
-      if (n != out.count_) {
-        throw util::CodecError(
-            "sweep reduction series holds " + std::to_string(n) +
-            " values for " + std::to_string(out.count_) + " cells");
-      }
-      v->reserve(static_cast<size_t>(n));
-      for (uint64_t i = 0; i < n; ++i) v->push_back(r.f64());
-    }
-  }
-  return out;
 }
 
 util::Summary SweepReduction::annualized_mt() const {
@@ -766,6 +712,127 @@ size_t read_binary_cells(std::istream& in, SweepCellSink& sink,
   }
 }
 
+SweepFold::SweepFold(const SweepExpansion& expansion, bool streaming,
+                     bool retain_cells, SweepCellSink* sink, size_t round)
+    : expansion_(expansion),
+      retain_cells_(retain_cells),
+      sink_(sink),
+      round_(round),
+      reduction_(streaming),
+      endpoint_results_(expansion.grid_begin() - 1) {
+  const SweepSpec& spec = expansion.spec();
+  report_.base_name = spec.base.name;
+  report_.grid_cells = spec.grid_cells();
+  report_.mc_cells = spec.monte_carlo ? spec.monte_carlo->draws : 0;
+  report_.axis_cells = endpoint_results_.size();
+  report_.total_cells = expansion.size();
+  report_.streaming_stats = streaming;
+  if (retain_cells_) report_.cells.reserve(expansion.size());
+
+  for (size_t a = 0; a < spec.axes.size(); ++a) {
+    const auto& values = spec.axes[a].values;
+    if (values.size() < 2) continue;
+    MarginalAcc acc;
+    acc.axis_pos = a;
+    acc.sorted = values;
+    std::sort(acc.sorted.begin(), acc.sorted.end());
+    acc.decl_to_sorted.resize(values.size());
+    for (size_t j = 0; j < values.size(); ++j) {
+      acc.decl_to_sorted[j] = static_cast<size_t>(
+          std::lower_bound(acc.sorted.begin(), acc.sorted.end(), values[j]) -
+          acc.sorted.begin());
+    }
+    acc.sums.assign(acc.sorted.size(), 0.0);
+    acc.counts.assign(acc.sorted.size(), 0);
+    marginals_.push_back(std::move(acc));
+  }
+}
+
+void SweepFold::fold_cell(size_t index, const SweepCell& cell) {
+  if (index == 0) report_.base = cell;
+  reduction_.add(cell);
+  if (cell.kind == SweepCellKind::kGrid) {
+    const size_t g = index - expansion_.grid_begin();
+    for (auto& acc : marginals_) {
+      const size_t si =
+          acc.decl_to_sorted[expansion_.grid_value_index(g, acc.axis_pos)];
+      acc.sums[si] += cell.annualized_mt;
+      ++acc.counts[si];
+    }
+  }
+  if (sink_ != nullptr) sink_->cell(round_, index, cell);
+}
+
+void SweepFold::add(size_t index, const SweepCell& cell) {
+  fold_cell(index, cell);
+  if (retain_cells_) report_.cells.push_back(cell);
+}
+
+void SweepFold::add(size_t index, SweepCell&& cell) {
+  fold_cell(index, cell);
+  if (retain_cells_) report_.cells.push_back(std::move(cell));
+}
+
+bool SweepFold::add_endpoint(size_t index, ScenarioResults results) {
+  EASYC_REQUIRE(expansion_.is_endpoint(index),
+                "SweepFold: not a tornado endpoint");
+  auto& slot = endpoint_results_[index - 1];
+  if (slot) return false;
+  slot = std::move(results);
+  return true;
+}
+
+SweepReport SweepFold::finish(
+    const std::vector<top500::SystemRecord>& records) {
+  report_.num_records = records.size();
+  const std::vector<TornadoEndpoint> endpoints =
+      tornado_endpoints(expansion_.spec());
+  for (size_t j = 0; j < endpoints.size(); ++j) {
+    const auto& low = endpoint_results_[2 * j];
+    const auto& high = endpoint_results_[2 * j + 1];
+    EASYC_REQUIRE(low && high, "SweepFold: tornado endpoint results missing");
+    // The Fig.-9 kernel generalizes to any two scenarios over one list:
+    // low plays Baseline, high plays Baseline+PublicInfo.
+    const SensitivityReport s = sensitivity(records, *low, *high);
+
+    const TornadoEndpoint& e = endpoints[j];
+    TornadoRow row;
+    row.axis = e.axis;
+    row.low = e.low;
+    row.high = e.high;
+    row.low_annualized_mt = low->annualized_total_mt();
+    row.high_annualized_mt = high->annualized_total_mt();
+    row.swing_mt = row.high_annualized_mt - row.low_annualized_mt;
+    row.swing_pct = report_.base.annualized_mt == 0.0
+                        ? 0.0
+                        : row.swing_mt / report_.base.annualized_mt * 100.0;
+    row.op_total_pct = s.op_total_pct;
+    row.emb_total_pct = s.emb_total_pct;
+    row.op_max_abs_pct = s.op_max_abs_pct;
+    row.emb_max_abs_pct = s.emb_max_abs_pct;
+    report_.tornado.push_back(row);
+  }
+
+  report_.annualized_mt = reduction_.annualized_mt();
+  report_.op_total_mt = reduction_.op_total_mt();
+  report_.emb_total_mt = reduction_.emb_total_mt();
+
+  for (auto& acc : marginals_) {
+    AxisMarginal m;
+    m.axis = expansion_.spec().axes[acc.axis_pos].axis;
+    m.values = std::move(acc.sorted);
+    m.mean_annualized.assign(m.values.size(), 0.0);
+    for (size_t i = 0; i < m.values.size(); ++i) {
+      if (acc.counts[i] > 0) {
+        m.mean_annualized[i] =
+            acc.sums[i] / static_cast<double>(acc.counts[i]);
+      }
+    }
+    report_.grid_marginals.push_back(std::move(m));
+  }
+  return std::move(report_);
+}
+
 SweepEngine::SweepEngine() : SweepEngine(Options{}) {}
 
 SweepEngine::SweepEngine(Options options) : options_(options) {
@@ -785,143 +852,46 @@ SweepReport SweepEngine::run(
   return run_round(records, spec, /*round=*/0, sink);
 }
 
+size_t SweepEngine::assess_range(
+    const std::vector<top500::SystemRecord>& records,
+    const SweepExpansion& expansion, size_t begin, size_t end,
+    const CellVisitor& visit) {
+  const size_t batch_size = std::max<size_t>(1, options_.batch_size);
+  size_t batches = 0;
+  size_t index = begin;
+  for (size_t start = begin; start < end; start += batch_size) {
+    ScenarioSet batch;
+    const size_t stop = std::min(start + batch_size, end);
+    for (size_t i = start; i < stop; ++i) batch.add(expansion.cell(i));
+    EditionAssessment assessed = options_.engine->assess(records, batch);
+    ++batches;
+    // Batches are ordered engine calls, so visit order is the
+    // expansion order for every thread count / batch size.
+    for (auto& r : assessed.scenarios) {
+      visit(index++, make_sweep_cell(r), std::move(r));
+    }
+  }
+  return batches;
+}
+
 SweepReport SweepEngine::run_round(
     const std::vector<top500::SystemRecord>& records, const SweepSpec& spec,
     size_t round, SweepCellSink* sink) {
   const SweepExpansion expansion(spec);
-  const size_t batch_size = std::max<size_t>(1, options_.batch_size);
-
-  SweepReport report;
-  report.base_name = spec.base.name;
-  report.num_records = records.size();
-  report.grid_cells = spec.grid_cells();
-  report.mc_cells = spec.monte_carlo ? spec.monte_carlo->draws : 0;
-  report.axis_cells =
-      expansion.size() - 1 - report.grid_cells - report.mc_cells;
-  report.total_cells = expansion.size();
-  const bool streaming =
-      options_.stats == SweepStatsMode::kStreaming ||
-      (options_.stats == SweepStatsMode::kAuto &&
-       expansion.size() >= kStreamingStatsThreshold);
-  report.streaming_stats = streaming;
-
-  // The tornado reduction needs full per-record series for every
-  // endpoint; everything else is reduced to aggregates as its batch
-  // completes, keeping peak memory at one batch.
-  const std::vector<TornadoEndpoint> endpoints = tornado_endpoints(spec);
-  std::map<std::string, ScenarioResults> retained;
-  for (const auto& e : endpoints) {
-    retained[e.low_name] = {};
-    retained[e.high_name] = {};
-  }
-
-  // Grid-marginal accumulators, one per multi-valued axis. Buckets are
-  // fed in expansion order, so sums (and the resulting means) are
-  // bit-identical to the historical recomputation over report.cells.
-  struct MarginalAcc {
-    size_t axis_pos = 0;                 // index into spec.axes
-    std::vector<double> sorted;          // axis values, ascending
-    std::vector<size_t> decl_to_sorted;  // declaration idx -> sorted idx
-    std::vector<double> sums;
-    std::vector<size_t> counts;
-  };
-  std::vector<MarginalAcc> marginals;
-  for (size_t a = 0; a < spec.axes.size(); ++a) {
-    const auto& values = spec.axes[a].values;
-    if (values.size() < 2) continue;
-    MarginalAcc acc;
-    acc.axis_pos = a;
-    acc.sorted = values;
-    std::sort(acc.sorted.begin(), acc.sorted.end());
-    acc.decl_to_sorted.resize(values.size());
-    for (size_t j = 0; j < values.size(); ++j) {
-      acc.decl_to_sorted[j] = static_cast<size_t>(
-          std::lower_bound(acc.sorted.begin(), acc.sorted.end(), values[j]) -
-          acc.sorted.begin());
-    }
-    acc.sums.assign(acc.sorted.size(), 0.0);
-    acc.counts.assign(acc.sorted.size(), 0);
-    marginals.push_back(std::move(acc));
-  }
-
-  SweepReduction reduction(streaming);
+  SweepFold fold(expansion,
+                 uses_streaming_stats(options_.stats, expansion.size()),
+                 options_.retain_cells, sink, round);
   const par::CacheStats before = options_.engine->cache_stats();
-
-  if (options_.retain_cells) report.cells.reserve(expansion.size());
-  size_t cell_index = 0;
-  for (size_t start = 0; start < expansion.size(); start += batch_size) {
-    ScenarioSet batch;
-    const size_t end = std::min(start + batch_size, expansion.size());
-    for (size_t i = start; i < end; ++i) batch.add(expansion.cell(i));
-
-    EditionAssessment assessed = options_.engine->assess(records, batch);
-    ++report.batches;
-    for (auto& r : assessed.scenarios) {
-      SweepCell cell = make_sweep_cell(r);
-      const size_t index = cell_index++;
-      if (index == 0) report.base = cell;
-      reduction.add(cell);
-      if (cell.kind == SweepCellKind::kGrid) {
-        const size_t g = index - expansion.grid_begin();
-        for (auto& acc : marginals) {
-          const size_t si =
-              acc.decl_to_sorted[expansion.grid_value_index(g, acc.axis_pos)];
-          acc.sums[si] += cell.annualized_mt;
-          ++acc.counts[si];
+  const size_t batches = assess_range(
+      records, expansion, 0, expansion.size(),
+      [&](size_t index, SweepCell&& cell, ScenarioResults&& results) {
+        fold.add(index, std::move(cell));
+        if (expansion.is_endpoint(index)) {
+          fold.add_endpoint(index, std::move(results));
         }
-      }
-      // Batches are ordered engine calls, so emission order is the
-      // expansion order for every thread count / batch size.
-      if (sink != nullptr) sink->cell(round, index, cell);
-      if (auto it = retained.find(r.spec.name); it != retained.end()) {
-        it->second = std::move(r);
-      }
-      if (options_.retain_cells) report.cells.push_back(std::move(cell));
-    }
-  }
-
-  for (const auto& e : endpoints) {
-    const ScenarioResults& low = retained.at(e.low_name);
-    const ScenarioResults& high = retained.at(e.high_name);
-    // The Fig.-9 kernel generalizes to any two scenarios over one list:
-    // low plays Baseline, high plays Baseline+PublicInfo.
-    const SensitivityReport s = sensitivity(records, low, high);
-
-    TornadoRow row;
-    row.axis = e.axis;
-    row.low = e.low;
-    row.high = e.high;
-    row.low_annualized_mt = low.annualized_total_mt();
-    row.high_annualized_mt = high.annualized_total_mt();
-    row.swing_mt = row.high_annualized_mt - row.low_annualized_mt;
-    row.swing_pct = report.base.annualized_mt == 0.0
-                        ? 0.0
-                        : row.swing_mt / report.base.annualized_mt * 100.0;
-    row.op_total_pct = s.op_total_pct;
-    row.emb_total_pct = s.emb_total_pct;
-    row.op_max_abs_pct = s.op_max_abs_pct;
-    row.emb_max_abs_pct = s.emb_max_abs_pct;
-    report.tornado.push_back(row);
-  }
-
-  report.annualized_mt = reduction.annualized_mt();
-  report.op_total_mt = reduction.op_total_mt();
-  report.emb_total_mt = reduction.emb_total_mt();
-
-  for (auto& acc : marginals) {
-    AxisMarginal m;
-    m.axis = spec.axes[acc.axis_pos].axis;
-    m.values = std::move(acc.sorted);
-    m.mean_annualized.assign(m.values.size(), 0.0);
-    for (size_t i = 0; i < m.values.size(); ++i) {
-      if (acc.counts[i] > 0) {
-        m.mean_annualized[i] =
-            acc.sums[i] / static_cast<double>(acc.counts[i]);
-      }
-    }
-    report.grid_marginals.push_back(std::move(m));
-  }
-
+      });
+  SweepReport report = fold.finish(records);
+  report.batches = batches;
   report.cache = options_.engine->cache_stats().since(before);
   return report;
 }

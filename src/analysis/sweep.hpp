@@ -38,6 +38,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -156,6 +157,10 @@ class SweepExpansion {
   /// comparing coordinate doubles.
   size_t grid_begin() const { return 1 + endpoints_.size(); }
   size_t grid_cells() const { return grid_; }
+  /// Tornado endpoints occupy expansion indices [1, grid_begin()).
+  bool is_endpoint(size_t index) const {
+    return index >= 1 && index < grid_begin();
+  }
   size_t grid_value_index(size_t grid_index, size_t axis) const {
     return (grid_index / strides_[axis]) % spec_.axes[axis].values.size();
   }
@@ -322,11 +327,12 @@ size_t read_binary_cells(std::istream& in, SweepCellSink& sink,
                          bool expect_eof = true);
 
 /// One multi-valued axis's tornado endpoints: the extreme values and
-/// the deterministic cell names the expansion gives them. Expansion,
-/// the engine's retained-results map, the tornado reduction, and the
-/// shard partial codec all derive from this one helper, so their cell
-/// names are structurally incapable of diverging. Endpoints occupy
-/// expansion indices [1, 1 + 2*size()): low then high, spec axis order.
+/// the deterministic cell names the expansion gives them. Expansion
+/// and the tornado rows (SweepFold) both derive from this one helper,
+/// so their cell names are structurally incapable of diverging.
+/// Endpoints occupy expansion indices [1, 1 + 2*size()): low then
+/// high, spec axis order; the fold and the shard partial codec key
+/// endpoint results by that index.
 struct TornadoEndpoint {
   SweepAxis axis = SweepAxis::kAci;
   double low = 0.0;
@@ -395,41 +401,25 @@ std::string_view sweep_stats_mode_name(SweepStatsMode mode);
 std::optional<SweepStatsMode> sweep_stats_mode_from_name(
     std::string_view name);
 
+/// Whether a sweep of `total_cells` cells reduces in streaming mode:
+/// kStreaming always, kAuto from kStreamingStatsThreshold cells on. A
+/// shard worker asks with the FULL expansion size, not its slice, so
+/// every worker records the mode a single process would pick.
+bool uses_streaming_stats(SweepStatsMode mode, size_t total_cells);
+
 /// Single-pass reduction of the three cross-cell footprint
 /// distributions (annualized / operational / embodied). Exact mode
 /// stores the three series and defers to util::summarize — bit-for-bit
 /// the historical store-all reduction. Streaming mode keeps O(1) state
 /// (util::StreamingSummary) per distribution. Either way the feed
 /// order is the expansion order, so results are bit-stable for any
-/// thread count, batch size, or cache state.
-///
-/// The reduction is also the unit a sharded sweep ships between
-/// processes (the EZPART partial codec, sweep_shard.hpp): encode/decode
-/// round-trip the full state bit for bit, and merge() folds the next
-/// shard's partial in. Exact-mode partials merge by series
-/// concatenation — shard order is expansion order, so the merged
-/// summaries are byte-identical to a single process's. Streaming-mode
-/// partials merge their moment cores exactly (count/min/max; total via
-/// the Kahan fold) and their quantile estimators via the approximate
-/// P² combine — deterministic for a fixed shard count, documented in
-/// README.md.
+/// thread count, batch size, cache state, or shard count (a sharded
+/// merge replays every cell into one reduction; see SweepFold).
 class SweepReduction {
  public:
   explicit SweepReduction(bool streaming);
 
   void add(const SweepCell& cell);
-  size_t count() const { return count_; }
-  bool streaming() const { return streaming_; }
-
-  /// Fold `other` — the reduction over the next contiguous shard of
-  /// the same expansion — into this one. Throws util::Error when the
-  /// modes disagree.
-  void merge(const SweepReduction& other);
-
-  /// Bit-exact state round trip (mode, count, and either the raw
-  /// exact-mode series or the three streaming estimator states).
-  void encode(util::BinaryWriter& w) const;
-  static SweepReduction decode(util::BinaryReader& r);
 
   /// Finalized distributions (exact mode sorts here).
   util::Summary annualized_mt() const;
@@ -438,7 +428,6 @@ class SweepReduction {
 
  private:
   bool streaming_;
-  size_t count_ = 0;
   util::StreamingSummary s_annualized_, s_op_, s_emb_;
   std::vector<double> v_annualized_, v_op_, v_emb_;  // exact mode only
 };
@@ -493,6 +482,60 @@ struct SweepReport {
   /// legitimately differ between cold and warm-started runs while the
   /// report stays byte-identical.
   par::CacheStats cache;
+};
+
+/// The one fold every SweepReport comes out of. SweepEngine feeds it
+/// the cells it assesses; merge_sweep_partials (sweep_shard.hpp) feeds
+/// it the cells it replays from the shards' partials. Both feed in
+/// expansion order, so the base cell, the summaries (in either stats
+/// mode), the grid marginals and the tornado rows are byte-identical
+/// whichever path — and however many processes — produced the cells.
+class SweepFold {
+ public:
+  /// `sink`, when non-null, receives every folded cell tagged `round`;
+  /// `retain_cells` keeps each one in SweepReport::cells.
+  SweepFold(const SweepExpansion& expansion, bool streaming,
+            bool retain_cells, SweepCellSink* sink = nullptr,
+            size_t round = 0);
+
+  /// Fold the cell at expansion index `index`; indices arrive in
+  /// expansion order. The rvalue overload moves a retained cell.
+  void add(size_t index, const SweepCell& cell);
+  void add(size_t index, SweepCell&& cell);
+
+  /// Hand over the full per-record results of endpoint `index`
+  /// (SweepExpansion::is_endpoint), which the tornado rows need.
+  /// Returns false when that endpoint already has them.
+  bool add_endpoint(size_t index, ScenarioResults results);
+
+  /// The finished report: tornado rows (analysis::sensitivity over the
+  /// endpoint results), the three summaries, and the marginal means.
+  /// Every endpoint must have its results. `batches` and `cache` are
+  /// left for the caller. Call once.
+  SweepReport finish(const std::vector<top500::SystemRecord>& records);
+
+ private:
+  // One multi-valued axis's grid-marginal sums. Buckets are fed in
+  // expansion order, so the means are bit-identical to a store-all
+  // recomputation over report.cells.
+  struct MarginalAcc {
+    size_t axis_pos = 0;                 // index into spec.axes
+    std::vector<double> sorted;          // axis values, ascending
+    std::vector<size_t> decl_to_sorted;  // declaration idx -> sorted idx
+    std::vector<double> sums;
+    std::vector<size_t> counts;
+  };
+
+  void fold_cell(size_t index, const SweepCell& cell);
+
+  const SweepExpansion& expansion_;
+  bool retain_cells_;
+  SweepCellSink* sink_;
+  size_t round_;
+  SweepReport report_;
+  SweepReduction reduction_;
+  std::vector<MarginalAcc> marginals_;
+  std::vector<std::optional<ScenarioResults>> endpoint_results_;
 };
 
 /// Tornado-guided refinement: after the coarse grid, rank the
@@ -561,6 +604,18 @@ class SweepEngine {
                            const SweepSpec& spec,
                            const RefineOptions& refine,
                            SweepCellSink* sink = nullptr);
+
+  /// Assess expansion cells [begin, end) over `records` in blocks of
+  /// Options::batch_size, one engine call per block, and hand each
+  /// cell to `visit` in expansion order: its index, its SweepCell, and
+  /// its full per-record results. Returns the number of blocks. The
+  /// batch loop of both run() and run_sweep_shard.
+  using CellVisitor =
+      std::function<void(size_t index, SweepCell&& cell,
+                         ScenarioResults&& results)>;
+  size_t assess_range(const std::vector<top500::SystemRecord>& records,
+                      const SweepExpansion& expansion, size_t begin,
+                      size_t end, const CellVisitor& visit);
 
   /// The engine the sweep runs on (the shared one, or the private one).
   AssessmentEngine& engine();

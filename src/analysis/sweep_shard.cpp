@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
-#include <map>
+#include <limits>
 #include <ostream>
 #include <utility>
 
-#include "analysis/sensitivity.hpp"
 #include "util/error.hpp"
 #include "util/fingerprint.hpp"
 #include "util/serialize.hpp"
@@ -136,27 +135,12 @@ PartialHeader read_partial_header(std::istream& in, const std::string& path) {
   return h;
 }
 
-// Replays one shard's embedded cell stream: validates the global cell
-// indices are exactly the shard's contiguous range, captures the base
-// cell, accumulates the grid marginals, and fans out to the caller's
-// sink — the feed order across shards is the expansion order, so
-// every accumulation is bit-identical to a single process's.
+// Replays one shard's embedded cell stream into the merge's fold,
+// after checking the global cell indices are exactly the shard's
+// contiguous range — so the fold sees the expansion order.
 class ReplaySink : public SweepCellSink {
  public:
-  struct MarginalAcc {
-    size_t axis_pos = 0;                 // index into spec.axes
-    std::vector<double> sorted;          // axis values, ascending
-    std::vector<size_t> decl_to_sorted;  // declaration idx -> sorted idx
-    std::vector<double> sums;
-    std::vector<size_t> counts;
-  };
-
-  ReplaySink(const SweepExpansion& expansion, SweepReport& report,
-             std::vector<MarginalAcc>& marginals, const MergeOptions& options)
-      : expansion_(expansion),
-        report_(report),
-        marginals_(marginals),
-        options_(options) {}
+  explicit ReplaySink(SweepFold& fold) : fold_(fold) {}
 
   void begin_shard(const std::string& path, size_t begin, size_t end) {
     path_ = path;
@@ -176,25 +160,11 @@ class ReplaySink : public SweepCellSink {
           " where " + std::to_string(next_) + " was expected");
     }
     ++next_;
-    if (index == 0) report_.base = c;
-    if (c.kind == SweepCellKind::kGrid) {
-      const size_t g = index - expansion_.grid_begin();
-      for (auto& acc : marginals_) {
-        const size_t si =
-            acc.decl_to_sorted[expansion_.grid_value_index(g, acc.axis_pos)];
-        acc.sums[si] += c.annualized_mt;
-        ++acc.counts[si];
-      }
-    }
-    if (options_.sink != nullptr) options_.sink->cell(round, index, c);
-    if (options_.retain_cells) report_.cells.push_back(c);
+    fold_.add(index, c);
   }
 
  private:
-  const SweepExpansion& expansion_;
-  SweepReport& report_;
-  std::vector<MarginalAcc>& marginals_;
-  const MergeOptions& options_;
+  SweepFold& fold_;
   std::string path_;
   size_t next_ = 0;
   size_t end_ = 0;
@@ -212,7 +182,10 @@ ShardRef ShardRef::parse(std::string_view text) {
   const auto index = util::parse_int(util::trim(text.substr(0, slash)));
   const auto count = util::parse_int(util::trim(text.substr(slash + 1)));
   if (!index || !count) fail();
-  if (*index < 1 || *count < 1 || *index > *count) fail();
+  if (*index < 1 || *count < 1 || *index > *count ||
+      *count > std::numeric_limits<uint32_t>::max()) {
+    fail();
+  }
   ShardRef ref;
   ref.index = static_cast<uint32_t>(*index);
   ref.count = static_cast<uint32_t>(*count);
@@ -283,15 +256,7 @@ size_t run_sweep_shard(SweepEngine& engine,
   const size_t begin = ref.begin(total);
   const size_t end = ref.end(total);
 
-  const SweepEngine::Options& opts = engine.options();
-  const size_t batch_size = std::max<size_t>(1, opts.batch_size);
-  // The streaming decision looks at the FULL expansion, not this
-  // shard's slice: every worker (and the eventual merge) must agree
-  // with the mode a single process would pick.
-  const bool streaming =
-      opts.stats == SweepStatsMode::kStreaming ||
-      (opts.stats == SweepStatsMode::kAuto &&
-       total >= kStreamingStatsThreshold);
+  const size_t batch_size = std::max<size_t>(1, engine.options().batch_size);
 
   {
     util::BinaryWriter magic;
@@ -310,43 +275,35 @@ size_t run_sweep_shard(SweepEngine& engine,
     h.u64(begin);
     h.u64(end);
     h.u64(total);
-    h.boolean(streaming);
+    h.boolean(uses_streaming_stats(engine.options().stats, total));
     h.str(spec.base.name);
     h.u64(begin == end ? 0 : (end - begin + batch_size - 1) / batch_size);
     write_section(out, h, "partial header");
   }
 
   // The shard's cells ship as an embedded EZCELLS stream (round 0,
-  // global expansion indices): the merge replays them to rebuild the
-  // base cell and marginals and to serve the merged --cells-out.
-  const size_t endpoint_end = 1 + 2 * tornado_endpoints(spec).size();
-  std::map<size_t, ScenarioResults> retained;
-  SweepReduction reduction(streaming);
+  // global expansion indices): the merge replays them through the same
+  // SweepFold a single process runs.
+  std::vector<std::pair<size_t, ScenarioResults>> endpoints;
   {
     BinaryCellSink cells(out);
-    size_t index = begin;
-    for (size_t start = begin; start < end; start += batch_size) {
-      ScenarioSet batch;
-      const size_t stop = std::min(start + batch_size, end);
-      for (size_t i = start; i < stop; ++i) batch.add(expansion.cell(i));
-      EditionAssessment assessed = engine.engine().assess(records, batch);
-      for (auto& r : assessed.scenarios) {
-        const SweepCell cell = make_sweep_cell(r);
-        const size_t i = index++;
-        reduction.add(cell);
-        cells.cell(0, i, cell);
-        if (extra != nullptr) extra->cell(0, i, cell);
-        if (i >= 1 && i < endpoint_end) retained.emplace(i, std::move(r));
-      }
-    }
+    engine.assess_range(
+        records, expansion, begin, end,
+        [&](size_t index, SweepCell&& cell, ScenarioResults&& results) {
+          cells.cell(0, index, cell);
+          if (extra != nullptr) extra->cell(0, index, cell);
+          if (expansion.is_endpoint(index)) {
+            endpoints.emplace_back(index, std::move(results));
+          }
+        });
     cells.finish();
   }
 
-  // Tail: the tornado endpoint series this shard owns (the merge
-  // re-runs analysis::sensitivity over them) and the reduction state.
+  // Tail: the tornado endpoint series this shard owns, in index order
+  // (the merge re-runs analysis::sensitivity over them).
   util::BinaryWriter t;
-  t.u64(retained.size());
-  for (const auto& [i, r] : retained) {
+  t.u64(endpoints.size());
+  for (const auto& [i, r] : endpoints) {
     t.u64(i);
     t.str(r.spec.name);
     encode_series(t, r.operational);
@@ -355,7 +312,6 @@ size_t run_sweep_shard(SweepEngine& engine,
     t.u64(static_cast<uint64_t>(r.coverage.embodied));
     t.u64(static_cast<uint64_t>(r.coverage.total));
   }
-  reduction.encode(t);
   write_section(out, t, "partial tail");
   out.flush();
   if (!out) {
@@ -376,8 +332,6 @@ SweepReport merge_sweep_partials(
   const size_t total = expansion.size();
   const uint64_t spec_fp = sweep_spec_fingerprint(spec);
   const uint64_t records_fp = records_fingerprint(records);
-  const std::vector<TornadoEndpoint> endpoints = tornado_endpoints(spec);
-  const size_t endpoint_end = 1 + 2 * endpoints.size();
 
   // Pass 1: headers only. Every partial must name this spec, this
   // record list, and the same N = paths.size() shard layout; the set
@@ -424,45 +378,12 @@ SweepReport merge_sweep_partials(
     headers[p] = std::move(h);
   }
 
-  const bool streaming = headers[0].streaming;
-
-  SweepReport report;
-  report.base_name = spec.base.name;
-  report.num_records = records.size();
-  report.grid_cells = spec.grid_cells();
-  report.mc_cells = spec.monte_carlo ? spec.monte_carlo->draws : 0;
-  report.axis_cells = total - 1 - report.grid_cells - report.mc_cells;
-  report.total_cells = total;
-  report.streaming_stats = streaming;
-  if (options.retain_cells) report.cells.reserve(total);
-
-  // Marginal accumulators, identical construction to the in-process
-  // sweep loop; fed from the replay in expansion order, so the merged
-  // marginals are bit-identical to a single process's.
-  std::vector<ReplaySink::MarginalAcc> marginals;
-  for (size_t a = 0; a < spec.axes.size(); ++a) {
-    const auto& values = spec.axes[a].values;
-    if (values.size() < 2) continue;
-    ReplaySink::MarginalAcc acc;
-    acc.axis_pos = a;
-    acc.sorted = values;
-    std::sort(acc.sorted.begin(), acc.sorted.end());
-    acc.decl_to_sorted.resize(values.size());
-    for (size_t j = 0; j < values.size(); ++j) {
-      acc.decl_to_sorted[j] = static_cast<size_t>(
-          std::lower_bound(acc.sorted.begin(), acc.sorted.end(), values[j]) -
-          acc.sorted.begin());
-    }
-    acc.sums.assign(acc.sorted.size(), 0.0);
-    acc.counts.assign(acc.sorted.size(), 0);
-    marginals.push_back(std::move(acc));
-  }
-
   // Pass 2: shards in shard order — the concatenated cell replay is
-  // the expansion order, which is what makes every fold exact.
-  ReplaySink replay(expansion, report, marginals, options);
-  SweepReduction merged(streaming);
-  std::map<size_t, ScenarioResults> endpoint_results;
+  // the expansion order, so the fold matches a single process's.
+  SweepFold fold(expansion, headers[0].streaming, options.retain_cells,
+                 options.sink);
+  ReplaySink replay(fold);
+  size_t batches = 0;
   for (size_t s = 0; s < order.size(); ++s) {
     const PartialHeader& h = headers[order[s]];
     const std::string& path = paths[order[s]];
@@ -481,16 +402,20 @@ SweepReport merge_sweep_partials(
            std::to_string(h.cell_end) + ")");
     }
 
+    // The tail carries exactly the endpoints inside the shard's range.
+    const size_t first = std::max<size_t>(h.cell_begin, 1);
+    const size_t last = std::min(h.cell_end, expansion.grid_begin());
+    const size_t owned = first < last ? last - first : 0;
     const std::string tail = read_section(in, "partial tail");
     util::BinaryReader r(tail);
     const uint64_t n_endpoints = r.u64();
-    if (n_endpoints > endpoint_end) {
-      fail("implausible endpoint count " + std::to_string(n_endpoints));
+    if (n_endpoints != owned) {
+      fail(std::to_string(n_endpoints) + " endpoints where the shard owns " +
+           std::to_string(owned));
     }
     for (uint64_t e = 0; e < n_endpoints; ++e) {
       const size_t idx = static_cast<size_t>(r.u64());
-      if (idx < 1 || idx >= endpoint_end || idx < h.cell_begin ||
-          idx >= h.cell_end) {
+      if (idx < first || idx >= last) {
         fail("endpoint index " + std::to_string(idx) +
              " outside the shard's endpoint range");
       }
@@ -506,76 +431,21 @@ SweepReport merge_sweep_partials(
       res.coverage.operational = static_cast<int>(r.u64());
       res.coverage.embodied = static_cast<int>(r.u64());
       res.coverage.total = static_cast<int>(r.u64());
-      if (!endpoint_results.emplace(idx, std::move(res)).second) {
+      if (!fold.add_endpoint(idx, std::move(res))) {
         fail("duplicate endpoint " + std::to_string(idx));
       }
-    }
-
-    SweepReduction part = SweepReduction::decode(r);
-    if (part.streaming() != streaming) fail("stats mode mismatch");
-    if (part.count() != n) {
-      fail("reduction covers " + std::to_string(part.count()) +
-           " cells, embedded stream holds " + std::to_string(n));
     }
     if (!r.exhausted()) fail("trailing bytes in partial tail");
     if (in.peek() != std::char_traits<char>::eof()) {
       fail("trailing bytes after partial tail");
     }
-    merged.merge(part);
-    report.batches += h.batches;
+    batches += h.batches;
   }
 
-  for (size_t k = 1; k < endpoint_end; ++k) {
-    if (endpoint_results.find(k) == endpoint_results.end()) {
-      throw util::CodecError("sweep merge: no partial carries endpoint " +
-                             std::to_string(k) + " ('" +
-                             expansion.cell(k).name + "')");
-    }
-  }
-
-  // Tornado: the same sensitivity kernel over the same series a single
-  // process retained — identical inputs, identical rows.
-  for (size_t j = 0; j < endpoints.size(); ++j) {
-    const TornadoEndpoint& e = endpoints[j];
-    const ScenarioResults& low = endpoint_results.at(1 + 2 * j);
-    const ScenarioResults& high = endpoint_results.at(2 + 2 * j);
-    const SensitivityReport s = sensitivity(records, low, high);
-
-    TornadoRow row;
-    row.axis = e.axis;
-    row.low = e.low;
-    row.high = e.high;
-    row.low_annualized_mt = low.annualized_total_mt();
-    row.high_annualized_mt = high.annualized_total_mt();
-    row.swing_mt = row.high_annualized_mt - row.low_annualized_mt;
-    row.swing_pct = report.base.annualized_mt == 0.0
-                        ? 0.0
-                        : row.swing_mt / report.base.annualized_mt * 100.0;
-    row.op_total_pct = s.op_total_pct;
-    row.emb_total_pct = s.emb_total_pct;
-    row.op_max_abs_pct = s.op_max_abs_pct;
-    row.emb_max_abs_pct = s.emb_max_abs_pct;
-    report.tornado.push_back(row);
-  }
-
-  report.annualized_mt = merged.annualized_mt();
-  report.op_total_mt = merged.op_total_mt();
-  report.emb_total_mt = merged.emb_total_mt();
-
-  for (auto& acc : marginals) {
-    AxisMarginal m;
-    m.axis = spec.axes[acc.axis_pos].axis;
-    m.values = std::move(acc.sorted);
-    m.mean_annualized.assign(m.values.size(), 0.0);
-    for (size_t i = 0; i < m.values.size(); ++i) {
-      if (acc.counts[i] > 0) {
-        m.mean_annualized[i] =
-            acc.sums[i] / static_cast<double>(acc.counts[i]);
-      }
-    }
-    report.grid_marginals.push_back(std::move(m));
-  }
-
+  // Tornado rows: the same sensitivity kernel over the same series a
+  // single process retained — identical inputs, identical rows.
+  SweepReport report = fold.finish(records);
+  report.batches = batches;
   return report;
 }
 

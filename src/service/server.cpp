@@ -26,6 +26,17 @@
 namespace easyc::service {
 namespace {
 
+// waitpid, retried on EINTR: easyc_serve's drain handler has no
+// SA_RESTART, and an interrupted wait leaves `status` untouched, which
+// would read as "exit 0" with the worker still running.
+pid_t wait_child(pid_t pid, int& status) {
+  pid_t reaped = -1;
+  do {
+    reaped = ::waitpid(pid, &status, 0);
+  } while (reaped < 0 && errno == EINTR);
+  return reaped;
+}
+
 std::string cache_note(const par::CacheStats& stats) {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
@@ -489,7 +500,7 @@ void AssessmentServer::do_sweep_sharded(
         for (pid_t running : pids) {
           ::kill(running, SIGTERM);
           int ignored = 0;
-          ::waitpid(running, &ignored, 0);
+          wait_child(running, ignored);
         }
         throw util::Error("cannot fork shard worker " + std::to_string(i) +
                           "/" + std::to_string(workers));
@@ -506,16 +517,17 @@ void AssessmentServer::do_sweep_sharded(
     std::string failure;
     for (unsigned i = 0; i < pids.size(); ++i) {
       int status = 0;
-      ::waitpid(pids[i], &status, 0);
-      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        const std::string what =
-            WIFEXITED(status)
-                ? "exit code " + std::to_string(WEXITSTATUS(status))
-                : "signal " + std::to_string(WTERMSIG(status));
-        if (failure.empty()) {
-          failure = "shard worker " + std::to_string(i + 1) + "/" +
-                    std::to_string(workers) + " failed (" + what + ")";
-        }
+      std::string what;
+      if (wait_child(pids[i], status) < 0) {
+        what = "waitpid errno " + std::to_string(errno);
+      } else if (!WIFEXITED(status)) {
+        what = "signal " + std::to_string(WTERMSIG(status));
+      } else if (WEXITSTATUS(status) != 0) {
+        what = "exit code " + std::to_string(WEXITSTATUS(status));
+      }
+      if (!what.empty() && failure.empty()) {
+        failure = "shard worker " + std::to_string(i + 1) + "/" +
+                  std::to_string(workers) + " failed (" + what + ")";
       }
     }
     if (!failure.empty()) throw ProtocolError(failure);

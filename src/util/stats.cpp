@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/serialize.hpp"
 
 namespace easyc::util {
 
@@ -96,31 +95,6 @@ void RunningStat::add(double x) {
   total_ = t;
 }
 
-void RunningStat::merge(const RunningStat& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double n = na + nb;
-  const double delta = other.welford_mean_ - welford_mean_;
-  welford_mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  // Fold the partial sum and its outstanding compensation through the
-  // same Kahan step add() uses.
-  for (const double x : {other.total_, -other.comp_}) {
-    const double y = x - comp_;
-    const double t = total_ + y;
-    comp_ = (t - total_) - y;
-    total_ = t;
-  }
-}
-
 double RunningStat::mean() const {
   if (count_ == 0) return 0.0;
   return total_ / static_cast<double>(count_);
@@ -132,31 +106,6 @@ double RunningStat::variance() const {
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-void RunningStat::encode(BinaryWriter& w) const {
-  w.u64(count_);
-  w.f64(welford_mean_);
-  w.f64(m2_);
-  w.f64(min_);
-  w.f64(max_);
-  w.f64(total_);
-  w.f64(comp_);
-}
-
-RunningStat RunningStat::decode(BinaryReader& r) {
-  RunningStat s;
-  s.count_ = static_cast<size_t>(r.u64());
-  s.welford_mean_ = r.f64();
-  s.m2_ = r.f64();
-  s.min_ = r.f64();
-  s.max_ = r.f64();
-  s.total_ = r.f64();
-  s.comp_ = r.f64();
-  if (s.count_ > 0 && s.min_ > s.max_) {
-    throw CodecError("RunningStat state has min > max");
-  }
-  return s;
-}
 
 P2Quantile::P2Quantile(double q) : q_(q) {
   EASYC_REQUIRE(q >= 0.0 && q <= 1.0, "P2Quantile q must be in [0,1]");
@@ -241,102 +190,8 @@ double P2Quantile::value() const {
   return heights_[2];
 }
 
-void P2Quantile::merge(const P2Quantile& other) {
-  if (q_ != other.q_) {
-    throw Error("P2Quantile::merge across different quantiles");
-  }
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  // While either side is still in warm-up, its heights_ ARE the raw
-  // (sorted) observations — replay them through the survivor and the
-  // merge is exact, not heuristic. A warm-up `this` replays into a
-  // copy of `other` so the full estimator's marker state survives.
-  if (other.count_ <= 5) {
-    for (size_t i = 0; i < other.count_; ++i) add(other.heights_[i]);
-    return;
-  }
-  if (count_ <= 5) {
-    const P2Quantile mine = *this;
-    *this = other;
-    for (size_t i = 0; i < mine.count_; ++i) add(mine.heights_[i]);
-    return;
-  }
-  // Both estimators are past warm-up: count-weighted marker combine.
-  // Heights average weighted by sample size (both sets are sorted, so
-  // the result is sorted); interior positions add (each counts the
-  // observations at or below its marker in its own partition); the
-  // extreme positions and the desired positions are recomputed from
-  // the combined count, exactly as a single estimator fed n points
-  // would hold them.
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double n = na + nb;
-  for (size_t m = 0; m < 5; ++m) {
-    heights_[m] = (na * heights_[m] + nb * other.heights_[m]) / n;
-  }
-  for (size_t m = 1; m <= 3; ++m) positions_[m] += other.positions_[m];
-  positions_[0] = 1.0;
-  positions_[4] = n;
-  count_ += other.count_;
-  const std::array<double, 5> init = {1.0, 1.0 + 2.0 * q_, 1.0 + 4.0 * q_,
-                                      3.0 + 2.0 * q_, 5.0};
-  increment_ = {0.0, q_ / 2.0, q_, (1.0 + q_) / 2.0, 1.0};
-  for (size_t m = 0; m < 5; ++m) {
-    desired_[m] = init[m] + (n - 5.0) * increment_[m];
-  }
-}
-
-void P2Quantile::encode(BinaryWriter& w) const {
-  w.f64(q_);
-  w.u64(count_);
-  for (const double h : heights_) w.f64(h);
-  for (const double p : positions_) w.f64(p);
-  for (const double d : desired_) w.f64(d);
-  for (const double i : increment_) w.f64(i);
-}
-
-P2Quantile P2Quantile::decode(BinaryReader& r) {
-  const double q = r.f64();
-  if (!(q >= 0.0 && q <= 1.0)) {
-    throw CodecError("P2Quantile state has q outside [0,1]");
-  }
-  P2Quantile s(q);
-  s.count_ = static_cast<size_t>(r.u64());
-  for (double& h : s.heights_) h = r.f64();
-  for (double& p : s.positions_) p = r.f64();
-  for (double& d : s.desired_) d = r.f64();
-  for (double& i : s.increment_) i = r.f64();
-  return s;
-}
-
 StreamingSummary::StreamingSummary()
     : p05_(0.05), median_(0.5), p95_(0.95) {}
-
-void StreamingSummary::merge(const StreamingSummary& other) {
-  stat_.merge(other.stat_);
-  p05_.merge(other.p05_);
-  median_.merge(other.median_);
-  p95_.merge(other.p95_);
-}
-
-void StreamingSummary::encode(BinaryWriter& w) const {
-  stat_.encode(w);
-  p05_.encode(w);
-  median_.encode(w);
-  p95_.encode(w);
-}
-
-StreamingSummary StreamingSummary::decode(BinaryReader& r) {
-  StreamingSummary s;
-  s.stat_ = RunningStat::decode(r);
-  s.p05_ = P2Quantile::decode(r);
-  s.median_ = P2Quantile::decode(r);
-  s.p95_ = P2Quantile::decode(r);
-  return s;
-}
 
 void StreamingSummary::add(double x) {
   stat_.add(x);

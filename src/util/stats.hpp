@@ -10,9 +10,6 @@
 
 namespace easyc::util {
 
-class BinaryReader;
-class BinaryWriter;
-
 /// Summary of a sample. Computed in one pass (Welford) plus a sort for
 /// the order statistics.
 struct Summary {
@@ -48,36 +45,21 @@ Summary summarize(std::span<const double> xs);
 /// sequence as summarize(), count/min/max/total (and mean derived as
 /// total/count) match the store-all computation bit for bit; stddev
 /// agrees to rounding (Welford's M2 vs the two-pass formula).
-///
-/// merge() is Chan et al.'s pairwise combination, so partial stats over
-/// disjoint partitions combine into the whole-sample stats — the shape
-/// a sharded (multi-thread / multi-process) reduction needs. Floating
-/// point makes merge only *approximately* associative: a fixed merge
-/// order over fixed partitions is deterministic (bit-stable across
-/// runs and thread counts), but repartitioning moves the last few ulps
-/// of mean/variance. count/min/max merge exactly.
 class RunningStat {
  public:
   void add(double x);
-  void merge(const RunningStat& other);
 
   size_t count() const { return count_; }
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
   /// Kahan-compensated sum, identical to util::sum over the same feed
-  /// order (merge folds the partial's compensation term back in).
+  /// order.
   double total() const { return total_; }
   /// total()/count(): matches summarize()'s mean bit for bit.
   double mean() const;
   /// Sample stddev (n-1); 0 when count < 2.
   double stddev() const;
   double variance() const;
-
-  /// Bit-exact state round trip (little-endian via util/serialize.hpp):
-  /// a decoded stat continues adding/merging exactly where the encoded
-  /// one stopped. The EZPART partial-reduction codec ships these.
-  void encode(BinaryWriter& w) const;
-  static RunningStat decode(BinaryReader& r);
 
  private:
   size_t count_ = 0;
@@ -106,19 +88,6 @@ class P2Quantile {
   double value() const;
   size_t count() const { return count_; }
 
-  /// Fold another estimator over the same quantile into this one (shard
-  /// order: `this` is the earlier partition). While either side is
-  /// still in warm-up its stored observations replay exactly; two full
-  /// estimators combine by count-weighted marker averaging (the
-  /// "parallel P²" heuristic) — an approximation, like the estimator
-  /// itself, but a deterministic one: a fixed partition and merge order
-  /// gives bit-stable results. Throws Error when the quantiles differ.
-  void merge(const P2Quantile& other);
-
-  /// Bit-exact state round trip (markers, positions, warm-up sample).
-  void encode(BinaryWriter& w) const;
-  static P2Quantile decode(BinaryReader& r);
-
  private:
   double q_;
   size_t count_ = 0;
@@ -133,27 +102,15 @@ class P2Quantile {
 /// memory. count/mean/min/max/total in the produced Summary are
 /// bit-identical to summarize() over the same feed order; stddev and
 /// the order statistics are approximations with test-pinned tolerance.
+/// There is deliberately no merge: a P² estimator is a function of its
+/// whole feed order, so a sharded sweep replays every cell into one
+/// summary (analysis::SweepFold) instead of combining partial states.
 class StreamingSummary {
  public:
   StreamingSummary();
 
   void add(double x);
   Summary summary() const;
-
-  /// The mergeable moment core (what a sharded reduction combines
-  /// exactly; the P² markers merge too, via the approximate
-  /// count-weighted combine documented on P2Quantile::merge).
-  const RunningStat& moments() const { return stat_; }
-
-  /// Fold another summary over a later disjoint partition into this
-  /// one. count/min/max merge exactly, total/mean via the Kahan fold,
-  /// mean/variance via Chan; the quantile estimates are the P² merge
-  /// approximation. Deterministic for a fixed partition + merge order.
-  void merge(const StreamingSummary& other);
-
-  /// Bit-exact state round trip (the moment core + all three P² states).
-  void encode(BinaryWriter& w) const;
-  static StreamingSummary decode(BinaryReader& r);
 
  private:
   RunningStat stat_;

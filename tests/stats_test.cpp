@@ -185,66 +185,6 @@ TEST(RunningStat, SingleObservation) {
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);  // sample stddev undefined at n=1
 }
 
-TEST(RunningStat, MergeMatchesSequentialForAnyPartition) {
-  const auto xs = sweep_like_sample(300);
-  RunningStat whole;
-  for (const double x : xs) whole.add(x);
-
-  for (const size_t split : {size_t{0}, size_t{1}, size_t{150},
-                             size_t{299}, size_t{300}}) {
-    RunningStat lo, hi;
-    for (size_t i = 0; i < split; ++i) lo.add(xs[i]);
-    for (size_t i = split; i < xs.size(); ++i) hi.add(xs[i]);
-    lo.merge(hi);
-    EXPECT_EQ(lo.count(), whole.count()) << split;
-    EXPECT_EQ(lo.min(), whole.min()) << split;
-    EXPECT_EQ(lo.max(), whole.max()) << split;
-    // Chan's combine reassociates the sums, so totals/means/variances
-    // are near-equal across partitions, not bit-equal.
-    EXPECT_NEAR(lo.total(), whole.total(),
-                1e-12 * std::abs(whole.total())) << split;
-    EXPECT_NEAR(lo.mean(), whole.mean(),
-                1e-12 * std::abs(whole.mean())) << split;
-    EXPECT_NEAR(lo.variance(), whole.variance(),
-                1e-9 * whole.variance()) << split;
-  }
-}
-
-TEST(RunningStat, MergeIsBitStableForAFixedPartition) {
-  // Determinism contract: the same partition merged twice yields the
-  // same bits — merge() is a pure function of its operands.
-  const auto xs = sweep_like_sample(128);
-  auto merged_half = [&] {
-    RunningStat lo, hi;
-    for (size_t i = 0; i < 64; ++i) lo.add(xs[i]);
-    for (size_t i = 64; i < xs.size(); ++i) hi.add(xs[i]);
-    lo.merge(hi);
-    return lo;
-  };
-  const RunningStat a = merged_half();
-  const RunningStat b = merged_half();
-  EXPECT_EQ(a.total(), b.total());
-  EXPECT_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.variance(), b.variance());
-}
-
-TEST(RunningStat, MergingAnEmptySideIsIdentity) {
-  RunningStat s;
-  for (const double x : {3.0, 1.0, 4.0}) s.add(x);
-  const double total = s.total();
-  const double var = s.variance();
-  s.merge(RunningStat());  // empty right side: bits unchanged
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_EQ(s.total(), total);
-  EXPECT_EQ(s.variance(), var);
-
-  RunningStat empty;
-  empty.merge(s);  // empty left side: adopts the right side wholesale
-  EXPECT_EQ(empty.count(), 3u);
-  EXPECT_EQ(empty.total(), total);
-  EXPECT_EQ(empty.variance(), var);
-}
-
 // --- streaming quantiles (P²) ---------------------------------------
 
 TEST(P2Quantile, ExactUntilFiveObservations) {

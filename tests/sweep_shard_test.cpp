@@ -7,10 +7,16 @@
 #include "analysis/sweep_shard.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/stat.h>
 
+#include <atomic>
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/assessment_engine.hpp"
@@ -35,7 +41,7 @@ const std::vector<top500::SystemRecord>& records24() {
   return kRecords;
 }
 
-// 1 base + 6 endpoints + (4*3) grid + 20 draws = 39 cells.
+// 1 base + 6 endpoints + (4*3*4) grid + 20 draws = 75 cells.
 constexpr char kAxes[] =
     "aci=25:600:4;pue=1.1,1.3,1.6;util=0.5:0.95:4;mc=20@42";
 // 1 base + 2 endpoints + 2 grid = 5 cells (for the N > cells case).
@@ -83,12 +89,15 @@ struct Baseline {
 };
 
 Baseline single_process(const SweepSpec& spec,
-                        const std::vector<top500::SystemRecord>& records) {
+                        const std::vector<top500::SystemRecord>& records,
+                        SweepStatsMode stats = SweepStatsMode::kAuto) {
   std::ostringstream csv, bin;
   CsvCellSink csv_sink(csv);
   BinaryCellSink bin_sink(bin, /*block_cells=*/3);
   TeeCellSink tee({&csv_sink, &bin_sink});
-  const SweepReport report = SweepEngine().run(records, spec, &tee);
+  SweepEngine::Options opt;
+  opt.stats = stats;
+  const SweepReport report = SweepEngine(opt).run(records, spec, &tee);
   bin_sink.finish();
   return Baseline{render_sweep_report(report), csv.str(), bin.str()};
 }
@@ -117,7 +126,8 @@ TEST(ShardRef, ParsesAndRoundTrips) {
 
 TEST(ShardRef, RejectsMalformedReferences) {
   for (const char* bad : {"0/4", "3/0", "5/4", "0/0", "-1/4", "1/-4", "x/4",
-                          "3/y", "3", "3/", "/4", "", "1/2/3", "1.5/4"}) {
+                          "3/y", "3", "3/", "/4", "", "1/2/3", "1.5/4",
+                          "1/4294967297", "4294967297/4294967297"}) {
     EXPECT_THROW(ShardRef::parse(bad), util::ParseError) << bad;
   }
 }
@@ -283,26 +293,26 @@ TEST(SweepShardMerge, RejectsEveryBitFlip) {
   EXPECT_GE(rejected, whole.size() - whole.size() / 64);
 }
 
-TEST(SweepShardMerge, StreamingModeMergesDeterministically) {
-  const SweepSpec spec = SweepSpec::parse(kAxes);
-  const auto paths =
-      shard_files(spec, 3, "stream", records24(), SweepStatsMode::kStreaming);
-  const Baseline a = merged(paths, spec, records24());
-  const Baseline b = merged(paths, spec, records24());
-  // The P² merge is approximate vs a single process but exact between
-  // re-merges of the same partials.
-  EXPECT_EQ(a.report, b.report);
-  EXPECT_EQ(a.csv, b.csv);
-  EXPECT_EQ(a.bin, b.bin);
-
-  // And the cell streams (not the estimator summaries) are still
-  // byte-identical to the single-process streaming run.
-  SweepEngine::Options opt;
-  opt.stats = SweepStatsMode::kStreaming;
-  std::ostringstream csv;
-  CsvCellSink csv_sink(csv);
-  SweepEngine(opt).run(records24(), spec, &csv_sink);
-  EXPECT_EQ(csv.str(), a.csv);
+TEST(SweepShardMerge, StreamingModeMergeMatchesSingleProcess) {
+  // The merge replays every cell into one streaming reduction, so the
+  // P² quantiles see the single process's feed order whatever the
+  // shard count — including shards past the estimator's 5-point
+  // warm-up (3 shards of kAxes hold 25 cells each) and empty tail
+  // shards (7 shards of a 5-cell grid).
+  const auto check = [](const char* axes, uint32_t shards) {
+    const SweepSpec spec = SweepSpec::parse(axes);
+    const Baseline one =
+        single_process(spec, records24(), SweepStatsMode::kStreaming);
+    ASSERT_NE(one.report.find("p05"), std::string::npos);
+    const auto paths = shard_files(spec, shards, "stream", records24(),
+                                   SweepStatsMode::kStreaming);
+    const Baseline many = merged(paths, spec, records24());
+    EXPECT_EQ(one.report, many.report) << axes << " over " << shards;
+    EXPECT_EQ(one.csv, many.csv) << axes << " over " << shards;
+    EXPECT_EQ(one.bin, many.bin) << axes << " over " << shards;
+  };
+  for (const uint32_t shards : {1u, 2u, 3u, 4u}) check(kAxes, shards);
+  check(kTinyAxes, 7);
 }
 
 TEST(SweepShard, SnapshotShipsCacheState) {
@@ -391,6 +401,65 @@ TEST(SweepShardServe, FanOutWiring) {
     EXPECT_NE(refused.payload.find("refine"), std::string::npos)
         << refused.payload;
   }
+}
+
+// A signal that interrupts the fan-out's wait for its workers (the
+// serve binary's drain handler has no SA_RESTART) must not read as a
+// clean exit: the reply names the worker's real exit status, not a
+// partial the merge found missing.
+void ignore_signal(int) {}
+
+TEST(SweepShardServe, InterruptedWaitStillReapsWorkers) {
+  using service::AssessmentServer;
+  using service::Request;
+  using service::ServerOptions;
+
+  const std::string script = ::testing::TempDir() + "shard_exit7.sh";
+  {
+    std::ofstream out(script, std::ios::trunc);
+    out << "#!/bin/sh\nsleep 0.5\nexit 7\n";
+  }
+  ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+
+  struct sigaction sa = {};
+  struct sigaction old = {};
+  sa.sa_handler = ignore_signal;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;  // no SA_RESTART, like easyc_serve
+  ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old), 0);
+
+  ServerOptions options;
+  options.admission = 1;
+  options.max_sweep_cells = 2;
+  options.shard_workers = 2;
+  options.shard_exec = script;
+  AssessmentServer server(options);
+  Request request;
+  request.verb = service::Verb::kSweep;
+  request.id = "t";
+  request.axes = kTinyAxes;
+  request.records = 4;
+
+  // Signal the executing thread every 20 ms from 100 ms on, so every
+  // wait is interrupted at least once.
+  const pthread_t executor = ::pthread_self();
+  std::atomic<bool> done{false};
+  std::thread interrupter([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    while (!done.load()) {
+      ::pthread_kill(executor, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+  const auto reply = server.execute(request);
+  done.store(true);
+  interrupter.join();
+  ::sigaction(SIGUSR1, &old, nullptr);
+
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.payload.find("shard worker 1/2 failed (exit code 7)"),
+            std::string::npos)
+      << reply.payload;
 }
 
 }  // namespace
