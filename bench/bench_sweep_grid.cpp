@@ -164,36 +164,6 @@ void BM_SweepReduceSummaries(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepReduceSummaries)->Unit(benchmark::kMicrosecond);
 
-// The streaming counterpart: the same three distributions reduced
-// through util::StreamingSummary (Welford moments + P² quantiles, the
-// O(1)-memory mode big sweeps switch to) instead of store-all + sort.
-// Comparing against BM_SweepReduceSummaries shows what a cell costs in
-// each mode — streaming trades the terminal O(n log n) sort for
-// constant per-cell marker updates.
-void BM_SweepReduceStreaming(benchmark::State& state) {
-  std::vector<double> cells(4096);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    cells[i] = static_cast<double>((i * 7919) % 4096) * 0.5;
-  }
-  for (auto _ : state) {
-    easyc::util::StreamingSummary a, b, c;
-    for (const double x : cells) {
-      a.add(x);
-      b.add(x);
-      c.add(x);
-    }
-    auto sa = a.summary();
-    auto sb = b.summary();
-    auto sc = c.summary();
-    benchmark::DoNotOptimize(&sa);
-    benchmark::DoNotOptimize(&sb);
-    benchmark::DoNotOptimize(&sc);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(3 * cells.size()));
-}
-BENCHMARK(BM_SweepReduceStreaming)->Unit(benchmark::kMicrosecond);
-
 // Warm grid with the per-cell CSV sink attached: the marginal cost of
 // --cells-out on top of the assessment (string formatting + quoting).
 void BM_SweepWarmGridCsvExport(benchmark::State& state) {

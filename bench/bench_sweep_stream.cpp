@@ -1,15 +1,15 @@
-// Million-cell streaming sweep: the perf target behind lazy expansion
-// (SweepExpansion), the streaming reduction (SweepStatsMode), and the
-// columnar binary export — a 1,000,007-cell grid swept on one worker
-// with cell retention off, every cell flowing through a BinaryCellSink
-// into a discarding stream.
+// Million-cell sweep with streamed cells: the perf target behind lazy
+// expansion (SweepExpansion), the exact reduction (SweepReduction, three
+// doubles per cell) and the columnar binary export — a 1,000,007-cell
+// grid swept on one worker with cell retention off, every cell flowing
+// through a BinaryCellSink into a discarding stream.
 //
 // Gated counters (tools/check_bench_regression.py vs
 // bench/baseline.json): cells_per_s (throughput) and peak_rss_mb
-// (process peak RSS after the sweep). Retaining this grid instead
-// would hold ~1e6 SweepCells (two heap strings each) plus three
-// 1e6-double series for the exact reduction — the counter pins that
-// the streamed run stays an order of magnitude below that.
+// (process peak RSS after the sweep). The reduction's three 1e6-double
+// series (~24 MB) are the bulk of that peak; retaining this grid
+// instead would add ~1e6 SweepCells with two heap strings each — the
+// counter pins that the streamed run stays well below that.
 //
 // Unlike the other bench binaries this one defines its own main and
 // never touches bench::shared_pipeline(): peak RSS is process-wide
@@ -38,7 +38,7 @@ using easyc::analysis::SweepSpec;
 // tornado endpoints). The lifetime axis never reaches the assessment
 // fingerprint, so the memo cache holds 50x50 = 2500 distinct
 // assessments per record — the engine-side memory is negligible and
-// the measurement isolates the streaming machinery itself.
+// the measurement isolates the per-cell sweep machinery itself.
 constexpr const char* kMillionSpec =
     "aci=0:800:50;pue=1.05:1.95:50;life=2:12:400";
 

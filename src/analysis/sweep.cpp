@@ -381,23 +381,6 @@ void require_stream(const std::ostream& out, const char* what) {
 
 }  // namespace
 
-std::string_view sweep_stats_mode_name(SweepStatsMode mode) {
-  switch (mode) {
-    case SweepStatsMode::kAuto: return "auto";
-    case SweepStatsMode::kExact: return "exact";
-    case SweepStatsMode::kStreaming: return "streaming";
-  }
-  return "?";
-}
-
-std::optional<SweepStatsMode> sweep_stats_mode_from_name(
-    std::string_view name) {
-  if (name == "auto") return SweepStatsMode::kAuto;
-  if (name == "exact") return SweepStatsMode::kExact;
-  if (name == "streaming") return SweepStatsMode::kStreaming;
-  return std::nullopt;
-}
-
 SweepCell make_sweep_cell(const ScenarioResults& r) {
   SweepCell cell;
   cell.name = r.spec.name;
@@ -415,36 +398,22 @@ SweepCell make_sweep_cell(const ScenarioResults& r) {
   return cell;
 }
 
-bool uses_streaming_stats(SweepStatsMode mode, size_t total_cells) {
-  return mode == SweepStatsMode::kStreaming ||
-         (mode == SweepStatsMode::kAuto &&
-          total_cells >= kStreamingStatsThreshold);
-}
-
-SweepReduction::SweepReduction(bool streaming) : streaming_(streaming) {}
-
 void SweepReduction::add(const SweepCell& cell) {
-  if (streaming_) {
-    s_annualized_.add(cell.annualized_mt);
-    s_op_.add(cell.op_total_mt);
-    s_emb_.add(cell.emb_total_mt);
-  } else {
-    v_annualized_.push_back(cell.annualized_mt);
-    v_op_.push_back(cell.op_total_mt);
-    v_emb_.push_back(cell.emb_total_mt);
-  }
+  annualized_.push_back(cell.annualized_mt);
+  op_.push_back(cell.op_total_mt);
+  emb_.push_back(cell.emb_total_mt);
 }
 
 util::Summary SweepReduction::annualized_mt() const {
-  return streaming_ ? s_annualized_.summary() : util::summarize(v_annualized_);
+  return util::summarize(annualized_);
 }
 
 util::Summary SweepReduction::op_total_mt() const {
-  return streaming_ ? s_op_.summary() : util::summarize(v_op_);
+  return util::summarize(op_);
 }
 
 util::Summary SweepReduction::emb_total_mt() const {
-  return streaming_ ? s_emb_.summary() : util::summarize(v_emb_);
+  return util::summarize(emb_);
 }
 
 CsvCellSink::CsvCellSink(std::ostream& out) : out_(out) {
@@ -712,13 +681,12 @@ size_t read_binary_cells(std::istream& in, SweepCellSink& sink,
   }
 }
 
-SweepFold::SweepFold(const SweepExpansion& expansion, bool streaming,
-                     bool retain_cells, SweepCellSink* sink, size_t round)
+SweepFold::SweepFold(const SweepExpansion& expansion, bool retain_cells,
+                     SweepCellSink* sink, size_t round)
     : expansion_(expansion),
       retain_cells_(retain_cells),
       sink_(sink),
       round_(round),
-      reduction_(streaming),
       endpoint_results_(expansion.grid_begin() - 1) {
   const SweepSpec& spec = expansion.spec();
   report_.base_name = spec.base.name;
@@ -726,7 +694,6 @@ SweepFold::SweepFold(const SweepExpansion& expansion, bool streaming,
   report_.mc_cells = spec.monte_carlo ? spec.monte_carlo->draws : 0;
   report_.axis_cells = endpoint_results_.size();
   report_.total_cells = expansion.size();
-  report_.streaming_stats = streaming;
   if (retain_cells_) report_.cells.reserve(expansion.size());
 
   for (size_t a = 0; a < spec.axes.size(); ++a) {
@@ -878,9 +845,7 @@ SweepReport SweepEngine::run_round(
     const std::vector<top500::SystemRecord>& records, const SweepSpec& spec,
     size_t round, SweepCellSink* sink) {
   const SweepExpansion expansion(spec);
-  SweepFold fold(expansion,
-                 uses_streaming_stats(options_.stats, expansion.size()),
-                 options_.retain_cells, sink, round);
+  SweepFold fold(expansion, options_.retain_cells, sink, round);
   const par::CacheStats before = options_.engine->cache_stats();
   const size_t batches = assess_range(
       records, expansion, 0, expansion.size(),

@@ -20,11 +20,11 @@
 // the engine CacheStats that make the memoization win measurable.
 //
 // Scale: expansion is lazy (SweepExpansion derives cell i on demand)
-// and the reduction is single-pass (SweepReduction, streaming
-// RunningStat/P² statistics above kStreamingStatsThreshold cells), so
-// with cell retention off a million-cell sweep runs at the memory
-// footprint of one batch — cells stream to sinks (CSV, columnar
-// binary, or a fan-out tee) instead of accumulating in the report.
+// and the reduction keeps only three doubles per cell (SweepReduction,
+// exact percentiles at every size), so with cell retention off a
+// million-cell sweep runs at one batch plus 24 B per cell — cells
+// stream to sinks (CSV, columnar binary, or a fan-out tee) instead of
+// accumulating in the report.
 //
 // Determinism: each cell is a pure function of (record content, derived
 // spec), batches are ordered engine calls, and every reduction iterates
@@ -153,7 +153,7 @@ class SweepExpansion {
   /// grid_cells). grid_value_index recovers, for grid cell
   /// `grid_index` (zero-based within the grid), which of
   /// spec().axes[axis].values it is pinned at — O(1) odometer
-  /// arithmetic, so streaming reductions bucket a cell without
+  /// arithmetic, so SweepFold buckets a cell into its marginal without
   /// comparing coordinate doubles.
   size_t grid_begin() const { return 1 + endpoints_.size(); }
   size_t grid_cells() const { return grid_; }
@@ -383,53 +383,38 @@ struct RefinementRound {
   par::CacheStats cache;
 };
 
-/// How SweepEngine reduces the cross-cell distributions.
-enum class SweepStatsMode {
-  kAuto,       ///< exact below kStreamingStatsThreshold cells, else streaming
-  kExact,      ///< store-all + sort: byte-identical percentiles, O(cells) RAM
-  kStreaming,  ///< RunningStat + P² estimators: O(1) RAM, approximate order
-               ///< statistics (still bit-stable for a fixed expansion)
-};
-
-/// Cell count at which kAuto switches from exact to streaming.
+// ---- Benchmark-replica compatibility -------------------------------
+// perfbench/harness/replica.cpp still names three relics of the former
+// approximate statistics mode: this constant, the ignored `bool`
+// constructor of SweepReduction and SweepReport::streaming_stats (both
+// tagged "replica compatibility"). No code in src/ or tools/ reads any
+// of them. They go when a benchmark change retires the replica
+// (CHANGES.md, the FOUND line on the replica).
 inline constexpr size_t kStreamingStatsThreshold = 65536;
+// ---- end of benchmark-replica compatibility -------------------------
 
-/// CLI-facing mode name ("auto", "exact", "streaming").
-std::string_view sweep_stats_mode_name(SweepStatsMode mode);
-
-/// Parse a mode name; nullopt = unknown.
-std::optional<SweepStatsMode> sweep_stats_mode_from_name(
-    std::string_view name);
-
-/// Whether a sweep of `total_cells` cells reduces in streaming mode:
-/// kStreaming always, kAuto from kStreamingStatsThreshold cells on. A
-/// shard worker asks with the FULL expansion size, not its slice, so
-/// every worker records the mode a single process would pick.
-bool uses_streaming_stats(SweepStatsMode mode, size_t total_cells);
-
-/// Single-pass reduction of the three cross-cell footprint
-/// distributions (annualized / operational / embodied). Exact mode
-/// stores the three series and defers to util::summarize — bit-for-bit
-/// the historical store-all reduction. Streaming mode keeps O(1) state
-/// (util::StreamingSummary) per distribution. Either way the feed
-/// order is the expansion order, so results are bit-stable for any
-/// thread count, batch size, cache state, or shard count (a sharded
-/// merge replays every cell into one reduction; see SweepFold).
+/// The reduction of the three cross-cell footprint distributions
+/// (annualized / operational / embodied): it stores each cell's three
+/// totals (24 B per cell) and finalizes them through util::summarize,
+/// so the percentiles are exact at every sweep size. The feed order is
+/// the expansion order, so results are bit-stable for any thread
+/// count, batch size, cache state, or shard count (a sharded merge
+/// replays every cell into one reduction; see SweepFold).
 class SweepReduction {
  public:
-  explicit SweepReduction(bool streaming);
+  SweepReduction() = default;
+  /// Replica compatibility (see kStreamingStatsThreshold): ignored.
+  explicit SweepReduction(bool /*ignored*/) {}
 
   void add(const SweepCell& cell);
 
-  /// Finalized distributions (exact mode sorts here).
+  /// Finalized distributions (each sorts a copy of its series).
   util::Summary annualized_mt() const;
   util::Summary op_total_mt() const;
   util::Summary emb_total_mt() const;
 
  private:
-  bool streaming_;
-  util::StreamingSummary s_annualized_, s_op_, s_emb_;
-  std::vector<double> v_annualized_, v_op_, v_emb_;  // exact mode only
+  std::vector<double> annualized_, op_, emb_;
 };
 
 /// One multi-valued axis's grid-marginal response: the mean annualized
@@ -452,7 +437,8 @@ struct SweepReport {
   size_t mc_cells = 0;
   size_t batches = 0;             ///< engine blocks the sweep ran as
   size_t total_cells = 0;         ///< cells assessed (this round)
-  bool streaming_stats = false;   ///< which reduction produced the summaries
+  /// Replica compatibility (see kStreamingStatsThreshold): never set.
+  bool streaming_stats = false;
 
   SweepCell base;                 ///< the base cell's aggregates
   /// Every cell, registration order — only when Options::retain_cells
@@ -487,16 +473,15 @@ struct SweepReport {
 /// The one fold every SweepReport comes out of. SweepEngine feeds it
 /// the cells it assesses; merge_sweep_partials (sweep_shard.hpp) feeds
 /// it the cells it replays from the shards' partials. Both feed in
-/// expansion order, so the base cell, the summaries (in either stats
-/// mode), the grid marginals and the tornado rows are byte-identical
-/// whichever path — and however many processes — produced the cells.
+/// expansion order, so the base cell, the summaries, the grid
+/// marginals and the tornado rows are byte-identical whichever path —
+/// and however many processes — produced the cells.
 class SweepFold {
  public:
   /// `sink`, when non-null, receives every folded cell tagged `round`;
   /// `retain_cells` keeps each one in SweepReport::cells.
-  SweepFold(const SweepExpansion& expansion, bool streaming,
-            bool retain_cells, SweepCellSink* sink = nullptr,
-            size_t round = 0);
+  SweepFold(const SweepExpansion& expansion, bool retain_cells,
+            SweepCellSink* sink = nullptr, size_t round = 0);
 
   /// Fold the cell at expansion index `index`; indices arrive in
   /// expansion order. The rvalue overload moves a retained cell.
@@ -569,15 +554,9 @@ class SweepEngine {
     /// block's full per-record results are alive at a time) without
     /// affecting results: reports are identical for any batch size.
     size_t batch_size = 64;
-    /// Reduction mode for the cross-cell distributions (see
-    /// SweepStatsMode). kAuto keeps small sweeps byte-identical to the
-    /// historical exact reduction and switches big ones to O(1)-memory
-    /// streaming.
-    SweepStatsMode stats = SweepStatsMode::kAuto;
     /// Keep every SweepCell in SweepReport::cells. Default on (the
     /// historical behaviour); switch off for sink-driven big sweeps so
-    /// peak memory is one batch plus O(1) reduction state, independent
-    /// of cell count. The rest of the report (base cell, tornado,
+    /// peak memory is one batch plus the reduction's 24 B per cell. The rest of the report (base cell, tornado,
     /// summaries, marginals, counters) is unaffected.
     bool retain_cells = true;
   };

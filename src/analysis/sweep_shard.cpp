@@ -89,7 +89,6 @@ struct PartialHeader {
   size_t cell_begin = 0;
   size_t cell_end = 0;
   size_t total_cells = 0;
-  bool streaming = false;
   std::string base_name;
   size_t batches = 0;
 };
@@ -124,7 +123,6 @@ PartialHeader read_partial_header(std::istream& in, const std::string& path) {
   h.cell_begin = static_cast<size_t>(r.u64());
   h.cell_end = static_cast<size_t>(r.u64());
   h.total_cells = static_cast<size_t>(r.u64());
-  h.streaming = r.boolean();
   h.base_name = r.str();
   h.batches = static_cast<size_t>(r.u64());
   if (!r.exhausted()) fail("trailing bytes in partial header");
@@ -275,7 +273,6 @@ size_t run_sweep_shard(SweepEngine& engine,
     h.u64(begin);
     h.u64(end);
     h.u64(total);
-    h.boolean(uses_streaming_stats(engine.options().stats, total));
     h.str(spec.base.name);
     h.u64(begin == end ? 0 : (end - begin + batch_size - 1) / batch_size);
     write_section(out, h, "partial header");
@@ -368,9 +365,6 @@ SweepReport merge_sweep_partials(
            std::to_string(h.cell_end) + ") is not shard " +
            expect.to_string() + "'s balanced partition");
     }
-    if (h.streaming != headers[0].streaming && p != 0) {
-      fail("stats mode mismatch across partials");
-    }
     if (order[h.ref.index - 1] != paths.size()) {
       fail("duplicate shard " + h.ref.to_string());
     }
@@ -380,8 +374,7 @@ SweepReport merge_sweep_partials(
 
   // Pass 2: shards in shard order — the concatenated cell replay is
   // the expansion order, so the fold matches a single process's.
-  SweepFold fold(expansion, headers[0].streaming, options.retain_cells,
-                 options.sink);
+  SweepFold fold(expansion, options.retain_cells, options.sink);
   ReplaySink replay(fold);
   size_t batches = 0;
   for (size_t s = 0; s < order.size(); ++s) {

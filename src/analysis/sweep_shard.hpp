@@ -11,17 +11,17 @@
 // layer runs is a fold over the expansion order, so a merge that
 // replays shards in order through the same SweepFold feeds the same
 // sequence a single process fed, and the summaries come out
-// byte-identical in both stats modes.
+// byte-identical.
 //
 // A worker emits an `EZPART` partial: a checksummed, versioned,
 // self-contained file (util/serialize.hpp primitives) carrying the
 // shard's identity (spec + records fingerprints, shard ref, cell
 // range), its cells as an embedded EZCELLS stream, and the per-axis
-// tornado endpoint series the shard owns. The merge step cross-checks every header field against the
-// spec it was given and against the sibling partials — a partial from
-// a different spec, records list, shard layout, or codec version is
-// rejected, never silently blended (README.md documents the full
-// layout and rejection matrix).
+// tornado endpoint series the shard owns. The merge step cross-checks
+// every header field against the spec it was given and against the
+// sibling partials — a partial from a different spec, records list,
+// shard layout, or codec version is rejected, never silently blended
+// (README.md documents the full layout and rejection matrix).
 #pragma once
 
 #include <cstdint>
@@ -58,7 +58,7 @@ struct ShardRef {
 
 /// EZPART file identity (README.md "Sweep partial file format").
 inline constexpr std::string_view kPartMagic = "EZPART\n";
-inline constexpr uint32_t kPartFormatVersion = 2;
+inline constexpr uint32_t kPartFormatVersion = 3;
 
 /// Identity of the sweep a partial belongs to: the base scenario's
 /// assessment fingerprint plus its presentation name and service
@@ -73,11 +73,10 @@ uint64_t records_fingerprint(
     const std::vector<top500::SystemRecord>& records);
 
 /// Run shard `ref` of `spec` over `records` on `engine` and stream the
-/// EZPART partial to `out`. Batch size and stats mode come from the
-/// engine's options; the header records the stats mode a single
-/// process would pick (uses_streaming_stats over the FULL expansion). When `extra` is non-null it receives the
-/// shard's cells (round 0, global expansion indices) as they are
-/// assessed. Returns the number of cells assessed (possibly 0).
+/// EZPART partial to `out`. Batch size comes from the engine's
+/// options. When `extra` is non-null it receives the shard's cells
+/// (round 0, global expansion indices) as they are assessed. Returns
+/// the number of cells assessed (possibly 0).
 size_t run_sweep_shard(SweepEngine& engine,
                        const std::vector<top500::SystemRecord>& records,
                        const SweepSpec& spec, ShardRef ref, std::ostream& out,
@@ -94,14 +93,14 @@ struct MergeOptions {
 
 /// Merge one complete set of EZPART partials — every shard of one
 /// sweep, in any path order — into the SweepReport a single process
-/// running `spec` over `records` produces: the summaries (in either
-/// stats mode), the base cell, the tornado table, and everything a
-/// sink receives are byte-identical to the single-process run, because
-/// every replayed cell feeds one SweepFold. Throws util::CodecError
+/// running `spec` over `records` produces: the summaries, the base
+/// cell, the tornado table, and everything a sink receives are
+/// byte-identical to the single-process run, because every replayed
+/// cell feeds one SweepFold. Throws util::CodecError
 /// when any partial has a bad magic/version/checksum, is truncated,
 /// or disagrees with `spec`/`records`/its siblings (fingerprints,
-/// shard count, duplicate or missing shards, cell ranges, stats
-/// mode); the merge rejects, it never blends suspect data.
+/// shard count, duplicate or missing shards, cell ranges); the merge
+/// rejects, it never blends suspect data.
 SweepReport merge_sweep_partials(
     const std::vector<std::string>& paths,
     const std::vector<top500::SystemRecord>& records, const SweepSpec& spec,

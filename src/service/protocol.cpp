@@ -158,14 +158,6 @@ Request parse_request(std::string_view line) {
         } else if (key == "batch") {
           req.batch = static_cast<size_t>(parse_positive_int(key, value));
           ok = true;
-        } else if (key == "stats") {
-          const auto mode = analysis::sweep_stats_mode_from_name(value);
-          if (!mode) {
-            throw ProtocolError("stats= wants exact, streaming, or auto; "
-                                "got '" + std::string(value) + "'");
-          }
-          req.stats = *mode;
-          ok = true;
         } else if (key == "records") {
           req.records = static_cast<size_t>(parse_positive_int(key, value));
           ok = true;

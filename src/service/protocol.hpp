@@ -89,11 +89,10 @@ struct Request {
   int editions = 8;
 
   // sweep: axes=<SweepSpec grammar> (required), base=<registered name>,
-  // batch=N, stats=auto|exact|streaming, records=N, refine=K@R
+  // batch=N, records=N, refine=K@R
   std::string axes;
   std::string base;
   std::optional<size_t> batch;
-  std::optional<analysis::SweepStatsMode> stats;
   std::optional<size_t> records;
   std::optional<analysis::RefineOptions> refine;
 };

@@ -389,7 +389,6 @@ void AssessmentServer::do_sweep(const Request& request, Reply& reply,
   analysis::SweepEngine::Options opt;
   opt.engine = &engine_;
   if (request.batch) opt.batch_size = *request.batch;
-  opt.stats = request.stats.value_or(analysis::SweepStatsMode::kAuto);
   // The payload renders from counters/summaries and refinement plans
   // from streamed marginals; retention off keeps one request's peak
   // memory at one batch no matter how many cells it expands to.
@@ -467,11 +466,6 @@ void AssessmentServer::do_sweep_sharded(
     };
     if (request.batch) {
       common.push_back("--sweep-batch=" + std::to_string(*request.batch));
-    }
-    if (request.stats) {
-      common.push_back(
-          "--sweep-stats=" +
-          std::string(analysis::sweep_stats_mode_name(*request.stats)));
     }
     if (request.records) {
       common.push_back("--sweep-records=" + std::to_string(*request.records));

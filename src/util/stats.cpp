@@ -76,145 +76,6 @@ Summary summarize(std::span<const double> xs) {
   return s;
 }
 
-void RunningStat::add(double x) {
-  ++count_;
-  const double delta = x - welford_mean_;
-  welford_mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - welford_mean_);
-  if (count_ == 1) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  // Kahan step, identical to util::sum's loop body.
-  const double y = x - comp_;
-  const double t = total_ + y;
-  comp_ = (t - total_) - y;
-  total_ = t;
-}
-
-double RunningStat::mean() const {
-  if (count_ == 0) return 0.0;
-  return total_ / static_cast<double>(count_);
-}
-
-double RunningStat::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-P2Quantile::P2Quantile(double q) : q_(q) {
-  EASYC_REQUIRE(q >= 0.0 && q <= 1.0, "P2Quantile q must be in [0,1]");
-}
-
-void P2Quantile::add(double x) {
-  if (count_ < 5) {
-    // Warm-up: keep the observations themselves, sorted, so the
-    // estimate stays exact until the markers exist.
-    size_t i = count_;
-    while (i > 0 && heights_[i - 1] > x) {
-      heights_[i] = heights_[i - 1];
-      --i;
-    }
-    heights_[i] = x;
-    ++count_;
-    if (count_ == 5) {
-      for (size_t m = 0; m < 5; ++m) {
-        positions_[m] = static_cast<double>(m + 1);
-      }
-      desired_ = {1.0, 1.0 + 2.0 * q_, 1.0 + 4.0 * q_, 3.0 + 2.0 * q_, 5.0};
-      increment_ = {0.0, q_ / 2.0, q_, (1.0 + q_) / 2.0, 1.0};
-    }
-    return;
-  }
-
-  // Locate the cell containing x, clamping the extreme markers.
-  size_t k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-  for (size_t m = k + 1; m < 5; ++m) positions_[m] += 1.0;
-  for (size_t m = 0; m < 5; ++m) desired_[m] += increment_[m];
-  ++count_;
-
-  // Nudge the three interior markers toward their desired positions.
-  for (size_t m = 1; m <= 3; ++m) {
-    const double d = desired_[m] - positions_[m];
-    if ((d >= 1.0 && positions_[m + 1] - positions_[m] > 1.0) ||
-        (d <= -1.0 && positions_[m - 1] - positions_[m] < -1.0)) {
-      const double sign = d >= 0.0 ? 1.0 : -1.0;
-      // Piecewise-parabolic (P²) height prediction.
-      const double np = positions_[m + 1];
-      const double nc = positions_[m];
-      const double nm = positions_[m - 1];
-      const double hp = heights_[m + 1];
-      const double hc = heights_[m];
-      const double hm = heights_[m - 1];
-      double candidate =
-          hc + sign / (np - nm) *
-                   ((nc - nm + sign) * (hp - hc) / (np - nc) +
-                    (np - nc - sign) * (hc - hm) / (nc - nm));
-      if (candidate <= hm || candidate >= hp) {
-        // Parabola left the bracket: fall back to linear interpolation
-        // toward the neighbour in the move direction.
-        const size_t nb = static_cast<size_t>(static_cast<long long>(m) +
-                                              static_cast<long long>(sign));
-        candidate = hc + sign * (heights_[nb] - hc) /
-                             (positions_[nb] - nc) * 1.0;
-      }
-      heights_[m] = candidate;
-      positions_[m] += sign;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (count_ == 0) return 0.0;
-  if (count_ <= 5) {
-    // Exact over the stored warm-up sample (same interpolation as
-    // percentile_sorted; heights_[0..count_) is sorted).
-    return percentile_sorted(
-        std::span<const double>(heights_.data(), count_), q_);
-  }
-  return heights_[2];
-}
-
-StreamingSummary::StreamingSummary()
-    : p05_(0.05), median_(0.5), p95_(0.95) {}
-
-void StreamingSummary::add(double x) {
-  stat_.add(x);
-  p05_.add(x);
-  median_.add(x);
-  p95_.add(x);
-}
-
-Summary StreamingSummary::summary() const {
-  Summary s;
-  s.count = stat_.count();
-  if (s.count == 0) return s;
-  s.total = stat_.total();
-  s.mean = stat_.mean();
-  s.stddev = stat_.stddev();
-  s.min = stat_.min();
-  s.max = stat_.max();
-  s.median = median_.value();
-  s.p05 = p05_.value();
-  s.p95 = p95_.value();
-  return s;
-}
-
 LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys) {
   EASYC_REQUIRE(xs.size() == ys.size(), "linear_fit needs equal lengths");
   EASYC_REQUIRE(xs.size() >= 2, "linear_fit needs at least 2 points");

@@ -43,11 +43,10 @@ TEST(ParseRequest, AllKeys) {
 
   const service::Request sweep = service::parse_request(
       "sweep axes=aci=25:600:6;pue=1.1,1.3 base=baseline batch=32 "
-      "stats=streaming records=100 refine=2@2");
+      "records=100 refine=2@2");
   EXPECT_EQ(sweep.axes, "aci=25:600:6;pue=1.1,1.3");
   EXPECT_EQ(sweep.base, "baseline");
   EXPECT_EQ(sweep.batch, 32u);
-  EXPECT_EQ(sweep.stats, analysis::SweepStatsMode::kStreaming);
   EXPECT_EQ(sweep.records, 100u);
   ASSERT_TRUE(sweep.refine.has_value());
   EXPECT_EQ(sweep.refine->top_axes, 2u);
@@ -85,7 +84,6 @@ TEST(ParseRequest, RejectionMatrix) {
       "sweep base=baseline",             // still missing axes=
       "sweep axes=aci=1,2 batch=0",      // batch must be positive
       "sweep axes=aci=1,2 records=0",
-      "sweep axes=aci=1,2 stats=bogus",
       "sweep axes=aci=1,2 refine=2",     // refine wants K@R
       "sweep axes=aci=1,2 refine=0@1",
       "sweep axes=aci=1,2 refine=1@0",

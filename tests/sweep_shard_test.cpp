@@ -2,8 +2,8 @@
 // exactly, EZPART partials from N shards (including empty tail shards)
 // merge into a report byte-identical to the single-process run, and the
 // merge rejects — never blends — partials from a different spec, record
-// list, shard layout, stats mode, or codec version, as well as
-// truncated or bit-flipped files.
+// list, shard layout, or codec version, as well as truncated or
+// bit-flipped files (also when a served fan-out's worker leaves one).
 #include "analysis/sweep_shard.hpp"
 
 #include <gtest/gtest.h>
@@ -48,11 +48,8 @@ constexpr char kAxes[] =
 constexpr char kTinyAxes[] = "pue=1.1,1.3";
 
 std::string run_partial(const SweepSpec& spec, ShardRef ref,
-                        const std::vector<top500::SystemRecord>& records,
-                        SweepStatsMode stats = SweepStatsMode::kAuto) {
-  SweepEngine::Options opt;
-  opt.stats = stats;
-  SweepEngine engine(opt);
+                        const std::vector<top500::SystemRecord>& records) {
+  SweepEngine engine;
   std::ostringstream out;
   run_sweep_shard(engine, records, spec, ref, out);
   return out.str();
@@ -69,13 +66,12 @@ std::string write_temp(const std::string& name, const std::string& bytes) {
 // N partials for `spec`, written to temp files, in shard order.
 std::vector<std::string> shard_files(
     const SweepSpec& spec, uint32_t n, const std::string& tag,
-    const std::vector<top500::SystemRecord>& records,
-    SweepStatsMode stats = SweepStatsMode::kAuto) {
+    const std::vector<top500::SystemRecord>& records) {
   std::vector<std::string> paths;
   for (uint32_t i = 1; i <= n; ++i) {
     paths.push_back(write_temp(
         tag + "_" + std::to_string(i) + "of" + std::to_string(n) + ".ezpart",
-        run_partial(spec, ShardRef{i, n}, records, stats)));
+        run_partial(spec, ShardRef{i, n}, records)));
   }
   return paths;
 }
@@ -89,15 +85,12 @@ struct Baseline {
 };
 
 Baseline single_process(const SweepSpec& spec,
-                        const std::vector<top500::SystemRecord>& records,
-                        SweepStatsMode stats = SweepStatsMode::kAuto) {
+                        const std::vector<top500::SystemRecord>& records) {
   std::ostringstream csv, bin;
   CsvCellSink csv_sink(csv);
   BinaryCellSink bin_sink(bin, /*block_cells=*/3);
   TeeCellSink tee({&csv_sink, &bin_sink});
-  SweepEngine::Options opt;
-  opt.stats = stats;
-  const SweepReport report = SweepEngine(opt).run(records, spec, &tee);
+  const SweepReport report = SweepEngine().run(records, spec, &tee);
   bin_sink.finish();
   return Baseline{render_sweep_report(report), csv.str(), bin.str()};
 }
@@ -225,14 +218,23 @@ TEST(SweepShardMerge, RejectsForeignAndCorruptPartials) {
         util::CodecError);
   }
 
-  // Mixed stats modes never blend.
+  // A partial of an older format version (here 2, which carried a
+  // stats-mode flag in its header) is refused by its version field.
   {
+    std::string old = run_partial(spec, ShardRef{2, 2}, records24());
+    ASSERT_EQ(old.compare(0, kPartMagic.size(), kPartMagic), 0);
+    old.replace(kPartMagic.size(), 4, std::string("\x02\0\0\0", 4));
     auto paths = good;
-    paths[1] = write_temp("rej_stats.ezpart",
-                          run_partial(spec, ShardRef{2, 2}, records24(),
-                                      SweepStatsMode::kStreaming));
-    EXPECT_THROW(merge_sweep_partials(paths, records24(), spec),
-                 util::CodecError);
+    paths[1] = write_temp("rej_v2.ezpart", old);
+    try {
+      merge_sweep_partials(paths, records24(), spec);
+      ADD_FAILURE() << "accepted a version-2 partial";
+    } catch (const util::CodecError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "partial format version 2, expected 3"),
+                std::string::npos)
+          << e.what();
+    }
   }
 
   // Not an EZPART file at all.
@@ -293,19 +295,16 @@ TEST(SweepShardMerge, RejectsEveryBitFlip) {
   EXPECT_GE(rejected, whole.size() - whole.size() / 64);
 }
 
-TEST(SweepShardMerge, StreamingModeMergeMatchesSingleProcess) {
-  // The merge replays every cell into one streaming reduction, so the
-  // P² quantiles see the single process's feed order whatever the
-  // shard count — including shards past the estimator's 5-point
-  // warm-up (3 shards of kAxes hold 25 cells each) and empty tail
-  // shards (7 shards of a 5-cell grid).
+TEST(SweepShardMerge, AnyShardCountMergesByteIdentically) {
+  // The merge replays every cell into one fold, so the summaries see
+  // the single process's feed order whatever the shard count —
+  // including uneven splits (3 shards of kAxes's 75 cells) and empty
+  // tail shards (7 shards of a 5-cell grid).
   const auto check = [](const char* axes, uint32_t shards) {
     const SweepSpec spec = SweepSpec::parse(axes);
-    const Baseline one =
-        single_process(spec, records24(), SweepStatsMode::kStreaming);
+    const Baseline one = single_process(spec, records24());
     ASSERT_NE(one.report.find("p05"), std::string::npos);
-    const auto paths = shard_files(spec, shards, "stream", records24(),
-                                   SweepStatsMode::kStreaming);
+    const auto paths = shard_files(spec, shards, "count", records24());
     const Baseline many = merged(paths, spec, records24());
     EXPECT_EQ(one.report, many.report) << axes << " over " << shards;
     EXPECT_EQ(one.csv, many.csv) << axes << " over " << shards;
@@ -460,6 +459,52 @@ TEST(SweepShardServe, InterruptedWaitStillReapsWorkers) {
   EXPECT_NE(reply.payload.find("shard worker 1/2 failed (exit code 7)"),
             std::string::npos)
       << reply.payload;
+}
+
+// A worker that exits 0 but leaves a truncated partial (a disk that
+// filled, a file cut short after the worker finished) must cost the
+// request an err reply, not the server: the merge's checks catch the
+// short file, and the server goes on serving.
+TEST(SweepShardServe, TruncatedPartialFromACleanExitIsAnError) {
+  using service::AssessmentServer;
+  using service::Request;
+  using service::ServerOptions;
+
+  // Run the real worker, then cut its partial to half its length.
+  const std::string script = ::testing::TempDir() + "shard_truncate.sh";
+  {
+    std::ofstream out(script, std::ios::trunc);
+    out << "#!/bin/sh\n\"" EASYC_CLI_PATH "\" \"$@\" || exit $?\n"
+        << R"(for a in "$@"; do
+  case "$a" in --shard-out=*) part="${a#--shard-out=}" ;; esac
+done
+head -c $(($(wc -c < "$part") / 2)) "$part" > "$part.cut" || exit 1
+mv "$part.cut" "$part"
+)";
+  }
+  ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+
+  ServerOptions options;
+  options.admission = 1;
+  options.max_sweep_cells = 2;
+  options.shard_workers = 2;
+  options.shard_exec = script;
+  AssessmentServer server(options);
+  Request request;
+  request.verb = service::Verb::kSweep;
+  request.id = "t";
+  request.axes = kTinyAxes;
+  request.records = 4;
+
+  const auto reply = server.execute(request);
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.payload.find("truncated"), std::string::npos)
+      << reply.payload;
+
+  Request ping;
+  ping.verb = service::Verb::kPing;
+  ping.id = "p";
+  EXPECT_TRUE(server.execute(ping).ok);
 }
 
 }  // namespace

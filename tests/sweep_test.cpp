@@ -305,93 +305,68 @@ TEST(SweepEngine, TornadoSwingsPointTheRightWay) {
                    cell("sweep/grid/aci=25/life=4").op_total_mt);
 }
 
-// --- stats modes ----------------------------------------------------
+// --- exact statistics at every size --------------------------------
 
-TEST(SweepStatsMode, NamesRoundTrip) {
-  for (const SweepStatsMode m :
-       {SweepStatsMode::kAuto, SweepStatsMode::kExact,
-        SweepStatsMode::kStreaming}) {
-    EXPECT_EQ(sweep_stats_mode_from_name(sweep_stats_mode_name(m)), m);
+// Collects the three per-cell totals an EZCELLS export carries.
+struct TotalsSink : SweepCellSink {
+  std::vector<double> annualized, op, emb;
+  void cell(size_t, size_t, const SweepCell& c) override {
+    annualized.push_back(c.annualized_mt);
+    op.push_back(c.op_total_mt);
+    emb.push_back(c.emb_total_mt);
   }
-  EXPECT_FALSE(sweep_stats_mode_from_name("approximate").has_value());
+};
+
+void expect_bit_equal(const util::Summary& got, const util::Summary& want,
+                      const char* what) {
+  EXPECT_EQ(got.count, want.count) << what;
+  EXPECT_EQ(got.total, want.total) << what;
+  EXPECT_EQ(got.mean, want.mean) << what;
+  EXPECT_EQ(got.stddev, want.stddev) << what;
+  EXPECT_EQ(got.min, want.min) << what;
+  EXPECT_EQ(got.max, want.max) << what;
+  EXPECT_EQ(got.median, want.median) << what;
+  EXPECT_EQ(got.p05, want.p05) << what;
+  EXPECT_EQ(got.p95, want.p95) << what;
 }
 
-TEST(SweepStatsMode, AutoStaysExactBelowTheThreshold) {
-  // Every sweep in this suite is far below kStreamingStatsThreshold,
-  // so kAuto (the default) must keep the historical exact reduction —
-  // the byte-identity guarantee against pre-streaming reports.
-  const auto spec = SweepSpec::parse("aci=25,300;life=4,8");
-  const SweepReport r = SweepEngine().run(records60(), spec);
-  EXPECT_FALSE(r.streaming_stats);
-  EXPECT_EQ(r.total_cells, spec.total_cells());
-
-  SweepEngine::Options opt;
-  opt.stats = SweepStatsMode::kStreaming;
-  EXPECT_TRUE(SweepEngine(opt).run(records60(), spec).streaming_stats);
-}
-
-TEST(SweepStatsMode, StreamingMatchesExactOnEverythingButOrderStats) {
-  const auto spec = SweepSpec::parse("aci=25:600:4;util=0.6:0.9:3;mc=16@5");
-
-  SweepEngine::Options exact_opt;
-  exact_opt.stats = SweepStatsMode::kExact;
-  const SweepReport exact = SweepEngine(exact_opt).run(records60(), spec);
-
-  SweepEngine::Options stream_opt;
-  stream_opt.stats = SweepStatsMode::kStreaming;
-  const SweepReport stream = SweepEngine(stream_opt).run(records60(), spec);
-
-  // Cells, tornado, base: reduction mode never touches them.
-  ASSERT_EQ(stream.cells.size(), exact.cells.size());
-  for (size_t i = 0; i < exact.cells.size(); ++i) {
-    EXPECT_EQ(stream.cells[i].annualized_mt, exact.cells[i].annualized_mt);
-  }
-  ASSERT_EQ(stream.tornado.size(), exact.tornado.size());
-  for (size_t i = 0; i < exact.tornado.size(); ++i) {
-    EXPECT_EQ(stream.tornado[i].swing_mt, exact.tornado[i].swing_mt);
-  }
-
-  // The moment statistics are bit-equal (Kahan total / exact min-max);
-  // the P² order statistics track the sorted ones within tolerance.
-  for (const auto& [s, e] :
-       {std::pair(stream.annualized_mt, exact.annualized_mt),
-        std::pair(stream.op_total_mt, exact.op_total_mt),
-        std::pair(stream.emb_total_mt, exact.emb_total_mt)}) {
-    EXPECT_EQ(s.count, e.count);
-    EXPECT_EQ(s.total, e.total);
-    EXPECT_EQ(s.mean, e.mean);
-    EXPECT_EQ(s.min, e.min);
-    EXPECT_EQ(s.max, e.max);
-    const double spread = std::max(e.max - e.min, 1e-12);
-    EXPECT_NEAR(s.median, e.median, 0.15 * spread);
-    EXPECT_NEAR(s.p05, e.p05, 0.15 * spread);
-    EXPECT_NEAR(s.p95, e.p95, 0.15 * spread);
-  }
-}
-
-TEST(SweepStatsMode, StreamingReportIsBitIdenticalAcrossThreadsAndBatches) {
-  // The streaming reduction runs in expansion order no matter how the
-  // batches land on the pool, so its approximation is the *same*
-  // approximation everywhere — the byte-identity guarantee holds in
-  // streaming mode too.
-  const auto spec = SweepSpec::parse("aci=25:600:4;util=0.6,0.9;mc=8@3");
-
-  par::ThreadPool serial(1);
-  SweepEngine::Options one;
-  one.pool = &serial;
-  one.batch_size = 5;
-  one.stats = SweepStatsMode::kStreaming;
-  one.retain_cells = false;
+TEST(SweepReduction, BigSweepSummariesAreExact) {
+  // 8 records x 65,545 cells (16^4 grid + base + 8 endpoints): a sweep
+  // above 65,536 cells, the size at which an earlier approximate
+  // reduction took over. The report's summaries must be util::summarize
+  // over the exported totals, bit for bit, and the same for any thread
+  // count and batch size.
+  std::vector<top500::SystemRecord> records(records60().begin(),
+                                            records60().begin() + 8);
+  const auto spec = SweepSpec::parse(
+      "aci=20:770:16;pue=1.07:1.95:16;util=0.45:0.95:16;life=3:18:16");
+  ASSERT_GE(spec.total_cells(), 65536u);
 
   par::ThreadPool wide(4);
   SweepEngine::Options many;
   many.pool = &wide;
-  many.batch_size = 1000;
-  many.stats = SweepStatsMode::kStreaming;
+  many.batch_size = 1024;
+  many.retain_cells = false;
+  std::ostringstream bin;
+  BinaryCellSink export_sink(bin);
+  const SweepReport r = SweepEngine(many).run(records, spec, &export_sink);
+  export_sink.finish();
 
-  const SweepReport a = SweepEngine(one).run(records60(), spec);
-  const SweepReport b = SweepEngine(many).run(records60(), spec);
-  EXPECT_EQ(render_sweep_report(a), render_sweep_report(b));
+  TotalsSink totals;
+  std::istringstream in(bin.str());
+  ASSERT_EQ(read_binary_cells(in, totals), spec.total_cells());
+  expect_bit_equal(r.annualized_mt, util::summarize(totals.annualized),
+                   "annualized");
+  expect_bit_equal(r.op_total_mt, util::summarize(totals.op), "operational");
+  expect_bit_equal(r.emb_total_mt, util::summarize(totals.emb), "embodied");
+
+  par::ThreadPool serial(1);
+  SweepEngine::Options one;
+  one.pool = &serial;
+  one.batch_size = 64;
+  one.retain_cells = false;
+  EXPECT_EQ(render_sweep_report(SweepEngine(one).run(records, spec)),
+            render_sweep_report(r));
 }
 
 // --- per-cell export ------------------------------------------------

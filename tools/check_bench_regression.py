@@ -7,7 +7,7 @@ against a committed baseline and fails when any benchmark's real time
 regressed by more than the threshold.
 
 User counters gate too: counters recorded in the baseline (e.g. the
-streaming sweep's ``cells_per_s`` throughput and ``peak_rss_mb``
+million-cell sweep's ``cells_per_s`` throughput and ``peak_rss_mb``
 footprint) are compared direction-aware — a higher-is-better counter
 fails when it drops past the threshold, a lower-is-better one when it
 grows past it.

@@ -100,10 +100,6 @@ void declare_flags(util::ArgParser& args) {
                 "cell export format(s) for --cells-out: csv (default), bin "
                 "(EZCELLS columnar binary; decode with easyc_cells_decode), "
                 "or csv,bin to write <file>.csv and <file>.bin");
-  args.add_flag("sweep-stats",
-                "cross-cell distribution reduction: exact (store-all sort), "
-                "streaming (O(1)-memory Welford+P² estimators), or auto "
-                "(default: exact below 65536 cells, streaming above)");
   args.add_flag("sweep-records",
                 "assess only the first N generated systems (default: the "
                 "full simulated list); makes million-cell grids cheap to "
@@ -444,7 +440,6 @@ int run_sweep(const std::string& axis_text, const std::string& base_name,
               const std::optional<std::string>& cache_file,
               const std::optional<std::string>& cells_out,
               const std::optional<std::string>& cells_format,
-              const std::optional<std::string>& stats_text,
               std::optional<long long> sweep_records,
               const std::optional<std::string>& refine_text) {
   easyc::service::ServerOptions options;
@@ -464,15 +459,6 @@ int run_sweep(const std::string& axis_text, const std::string& base_name,
   // truncates it, and a typo'd --sweep-refine must not cost the user a
   // previous run's export.
   if (refine_text) request.refine = easyc::service::parse_refine(*refine_text);
-  if (stats_text) {
-    const auto parsed =
-        easyc::analysis::sweep_stats_mode_from_name(*stats_text);
-    if (!parsed) {
-      throw util::Error("--sweep-stats wants exact, streaming, or auto; "
-                        "got '" + *stats_text + "'");
-    }
-    request.stats = *parsed;
-  }
 
   const std::vector<std::string> formats =
       parse_cell_formats(cells_out, cells_format);
@@ -528,7 +514,6 @@ int run_shard_worker(const std::string& axis_text,
                      std::optional<long long> threads,
                      std::optional<long long> batch,
                      const std::optional<std::string>& cache_file,
-                     const std::optional<std::string>& stats_text,
                      std::optional<long long> sweep_records) {
   const auto ref = easyc::analysis::ShardRef::parse(shard_text);
 
@@ -544,15 +529,6 @@ int run_shard_worker(const std::string& axis_text,
   if (batch) {
     if (*batch < 1) throw util::Error("--sweep-batch must be at least 1");
     opt.batch_size = static_cast<size_t>(*batch);
-  }
-  if (stats_text) {
-    const auto parsed =
-        easyc::analysis::sweep_stats_mode_from_name(*stats_text);
-    if (!parsed) {
-      throw util::Error("--sweep-stats wants exact, streaming, or auto; "
-                        "got '" + *stats_text + "'");
-    }
-    opt.stats = *parsed;
   }
   opt.retain_cells = false;
 
@@ -700,7 +676,7 @@ int main(int argc, char** argv) {
       if (auto shard = args.get("sweep-shard")) {
         require_only("sweep-shard",
                      {"sweep", "sweep-base", "sweep-shard", "shard-out",
-                      "threads", "sweep-batch", "cache-file", "sweep-stats",
+                      "threads", "sweep-batch", "cache-file",
                       "sweep-records"});
         auto out = args.get("shard-out");
         if (!out) {
@@ -710,7 +686,6 @@ int main(int argc, char** argv) {
                                 args.get_int("threads"),
                                 args.get_int("sweep-batch"),
                                 args.get("cache-file"),
-                                args.get("sweep-stats"),
                                 args.get_int("sweep-records"));
       }
       if (auto merge = args.get("sweep-merge")) {
@@ -724,17 +699,17 @@ int main(int argc, char** argv) {
       }
       require_only("sweep",
                    {"sweep", "sweep-base", "threads", "sweep-batch",
-                    "cache-file", "cells-out", "cells-format", "sweep-stats",
+                    "cache-file", "cells-out", "cells-format",
                     "sweep-records", "sweep-refine"});
       return run_sweep(*sweep_spec, base,
                        args.get_int("threads"), args.get_int("sweep-batch"),
                        args.get("cache-file"), args.get("cells-out"),
-                       args.get("cells-format"), args.get("sweep-stats"),
+                       args.get("cells-format"),
                        args.get_int("sweep-records"),
                        args.get("sweep-refine"));
     }
     for (const char* sweep_only : {"sweep-base", "threads", "sweep-batch",
-                                   "cells-out", "cells-format", "sweep-stats",
+                                   "cells-out", "cells-format",
                                    "sweep-records", "sweep-refine",
                                    "sweep-shard", "shard-out",
                                    "sweep-merge"}) {

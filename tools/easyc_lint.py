@@ -6,10 +6,11 @@ The repo's headline guarantee is byte-identical output across thread
 counts, cache states, warm restarts, and shard merges. Several of the
 rules that guarantee rests on live in ARCHITECTURE.md prose — hash-map
 iteration order must never reach a payload, floats print through the
-pinned %.17g helper, reductions fold through RunningStat/Kahan, wire
-decoding goes through checked BinaryReader primitives, locks are
-RAII-held. This linter turns each of those rules into a machine check,
-the same way check_docs.py enforces doc drift.
+pinned %.17g helper, reductions fold through util::sum/util::summarize
+(Kahan) in expansion order, wire decoding goes through checked
+BinaryReader primitives, locks are RAII-held. This linter turns each of
+those rules into a machine check, the same way check_docs.py enforces
+doc drift.
 
 Usage:
     tools/easyc_lint.py                 # lint the repo, exit 1 on findings
@@ -269,8 +270,9 @@ def rule_accumulate(ctx):
     yield from _grep_rule(
         ctx, ACCUMULATE_PAT,
         "std::accumulate/reduce in a reduction path — per-cell doubles "
-        "fold through RunningStat (Kahan) so batching cannot reorder the "
-        "sum; a bare left fold breaks merge identities")
+        "fold through util::sum/util::summarize (Kahan) in expansion order "
+        "so batching cannot reorder the sum; a bare left fold breaks merge "
+        "identities")
 
 
 CODEC_RAW_PAT = re.compile(r"reinterpret_cast\s*<|\bmemcpy\s*\(|\bbit_cast\s*<")
@@ -320,7 +322,8 @@ RULES = [
     ("accumulate-reduction",
      lambda p: starts_with_any(p, REDUCTION_PREFIXES),
      rule_accumulate,
-     "reductions fold through RunningStat/Kahan in expansion order"),
+     "reductions fold through util::sum/summarize (Kahan) in expansion "
+     "order"),
     ("unchecked-codec-read",
      lambda p: starts_with_any(p, CODEC_PREFIXES) and p != CODEC_PRIMITIVES,
      rule_codec_read,
